@@ -22,16 +22,19 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def source_id():
-    """The git commit when there is one, else a digest of the sources."""
+def git(*args):
+    """Output of one git command in the repository, or None."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30
         )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        pass
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def source_digest():
+    """A digest of the sources the benchmark builds."""
     digest = hashlib.sha256()
     files = [ROOT / "Cargo.toml", ROOT / "Cargo.lock"]
     for tree in (ROOT / "crates", HERE / "src"):
@@ -41,6 +44,17 @@ def source_id():
             digest.update(str(path.relative_to(ROOT)).encode())
             digest.update(path.read_bytes())
     return "src-sha256:" + digest.hexdigest()[:16]
+
+
+def source_id():
+    """The git commit, marked dirty with a source digest when the tree has
+    uncommitted changes; only the digest outside a git checkout."""
+    commit = git("rev-parse", "HEAD")
+    if not commit:
+        return source_digest()
+    if git("status", "--porcelain"):
+        return f"{commit}+dirty:{source_digest()}"
+    return commit
 
 
 def main():

@@ -91,13 +91,10 @@ fn build_one(tr: &Tracer, hls: &HlsFlow, opts: &FlowOptions, k: &Kernel) -> Opti
     })
 }
 
-/// Run the `build` workload (set-up only when `setup_only`).
-pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
+/// Run the `build` workload.
+pub fn run(ctx: &Ctx) -> Outcome {
     let kernels = suite(ctx.seed);
     characterize(&ctx.tracer);
-    if setup_only {
-        return None;
-    }
     let hls = HlsFlow::new().unroll_limit(0);
     let opts = FlowOptions {
         effort: Effort::Low,
@@ -155,10 +152,7 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
     });
     let (fmax_bits, luts) = qor.unwrap_or_default();
     let fmax: Vec<f64> = fmax_bits.iter().map(|&b| f64::from_bits(b)).collect();
-    let mut end_to_end: Vec<Metric> = vec![
-        ("work_per_s", timing.work_per_s(), "1/s"),
-        ("peak_rss_mb", timing.peak_rss_mb, "MB"),
-    ];
+    let mut end_to_end: Vec<Metric> = vec![("work_per_s", timing.work_per_s(), "1/s")];
     if !fmax.is_empty() {
         end_to_end.push(("fmax_mhz", geomean(&fmax), "MHz"));
         end_to_end.push(("luts", luts as f64, "count"));
@@ -212,12 +206,12 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ("trace.overhead_ratio", timing.trace_overhead(), "ratio"),
         ];
     }
-    Some(Outcome {
+    Outcome {
         attempted,
         failed,
         end_to_end,
         per_layer,
-    })
+    }
 }
 
 /// Compile and implement one kernel outside any timing (set-up of the

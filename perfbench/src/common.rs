@@ -2,10 +2,84 @@
 //! medians, and peak memory.
 
 use crate::trace::Tracer;
+use std::cell::{Cell, RefCell};
+use std::path::PathBuf;
+use std::process::Command;
 use std::time::Instant;
 
 /// Reps run at least this many times, however long each takes.
 const MIN_REPS: usize = 5;
+/// Probes are taken between reps until they have used this share of the
+/// time spent in reps.
+const PROBE_SHARE: f64 = 0.5;
+/// Probes taken at least, however long each takes.
+const MIN_PROBES: usize = 15;
+
+/// What one probe measured.
+#[derive(Clone, Copy, Debug)]
+pub struct Probe {
+    /// Process start to the first timed unit, seconds.
+    pub setup_s: f64,
+    /// Peak resident memory once set-up and the first rep are done, MiB.
+    pub peak_rss_mb: f64,
+}
+
+/// Runs probes: fresh processes of this binary that do the workload's
+/// set-up and one rep, so every sample pays the cold caches a user's first
+/// run pays and starts from an untouched heap.
+pub struct Prober {
+    exe: PathBuf,
+    workload: String,
+    seed: u64,
+    probes: RefCell<Vec<Probe>>,
+    spent: Cell<f64>,
+}
+
+impl Prober {
+    /// A prober for `workload` on `seed`.
+    pub fn new(workload: &str, seed: u64) -> Self {
+        Prober {
+            exe: std::env::current_exe().expect("own executable path"),
+            workload: workload.to_string(),
+            seed,
+            probes: RefCell::new(Vec::new()),
+            spent: Cell::new(0.0),
+        }
+    }
+
+    /// Run one probe and record what it printed.
+    fn probe(&self) {
+        let start = Instant::now();
+        let out = Command::new(&self.exe)
+            .args([
+                "--workload",
+                &self.workload,
+                "--seed",
+                &self.seed.to_string(),
+            ])
+            .args(["--seconds", "1", "--trace", "0", "--probe"])
+            .output()
+            .expect("probe process starts");
+        assert!(out.status.success(), "probe failed: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let v: Vec<f64> = text
+            .split_whitespace()
+            .map(|x| x.parse().expect("probe prints numbers"))
+            .collect();
+        assert_eq!(v.len(), 2, "probe prints set-up seconds and peak MiB");
+        self.probes.borrow_mut().push(Probe {
+            setup_s: v[0],
+            peak_rss_mb: v[1],
+        });
+        self.spent
+            .set(self.spent.get() + start.elapsed().as_secs_f64());
+    }
+
+    /// Every probe taken, in order.
+    pub fn probes(&self) -> Vec<Probe> {
+        self.probes.borrow().clone()
+    }
+}
 
 /// What one workload run is asked to do.
 pub struct Ctx {
@@ -19,6 +93,12 @@ pub struct Ctx {
     pub tracer: Tracer,
     /// Never records; used by the untraced reps of a traced run.
     pub untraced: Tracer,
+    /// When the process started.
+    pub start: Instant,
+    /// This process is a probe: set-up and one rep, then report and exit.
+    pub probe: bool,
+    /// Probes between reps in untraced runs (`None` otherwise).
+    pub prober: Option<Prober>,
 }
 
 impl Ctx {
@@ -41,7 +121,7 @@ pub struct Outcome {
     pub attempted: u64,
     /// Operations whose output disagreed with its check.
     pub failed: u64,
-    /// End-to-end metrics other than `setup_s`.
+    /// End-to-end metrics other than `setup_s` and `peak_rss_mb`.
     pub end_to_end: Vec<Metric>,
     /// Per-layer metrics (traced runs only).
     pub per_layer: Vec<Metric>,
@@ -59,20 +139,23 @@ pub struct Rep {
 pub struct Timing {
     /// Units per second of every untraced rep.
     pub rates: Vec<f64>,
+    /// Units done by all untraced reps.
+    pub untraced_units: f64,
     /// Seconds of every untraced rep.
     pub untraced_secs: Vec<f64>,
     /// Seconds of every traced rep.
     pub traced_secs: Vec<f64>,
-    /// Peak resident memory once set-up and the first rep are done: what
-    /// one use of the workload needs, before repetition can fragment the
-    /// heap by a run-length-dependent amount.
-    pub peak_rss_mb: f64,
 }
 
 impl Timing {
-    /// Median units per second over the untraced reps.
+    /// Units per second over all untraced reps. Not the median rep: on a
+    /// shared 2-vCPU host the speed switched between a few levels for
+    /// seconds at a time, and a run's median rep jumped with the level most
+    /// reps met, while the total moves with the share of time spent at
+    /// each (over ten seeds of `fleet` and of `mission` the spread across
+    /// runs halved, 0.14 and 0.12 to 0.07).
     pub fn work_per_s(&self) -> f64 {
-        median(&self.rates)
+        self.untraced_units / self.untraced_secs.iter().sum::<f64>()
     }
 
     /// Traced reps run (per-layer totals are divided by this).
@@ -88,32 +171,54 @@ impl Timing {
 
 /// Repeat `rep` for `ctx.seconds` (at least [`MIN_REPS`] times). Traced
 /// runs alternate untraced and traced reps so both see the same host
-/// conditions; the flag passed to `rep` says which one this is.
+/// conditions; the flag passed to `rep` says which one this is. With a
+/// prober, probes run between reps (within the `ctx.seconds`), so they
+/// see the same host conditions as the reps; at least [`MIN_PROBES`] run.
+///
+/// A probe process runs one rep, prints its set-up seconds and peak
+/// memory, and exits.
 pub fn timed_loop(ctx: &Ctx, mut rep: impl FnMut(bool) -> Rep) -> Timing {
-    let start = Instant::now();
+    if ctx.probe {
+        let setup_s = ctx.start.elapsed().as_secs_f64();
+        rep(false);
+        println!("{setup_s} {}", peak_rss_mb());
+        std::process::exit(0);
+    }
+    let loop_start = Instant::now();
+    let mut in_reps = 0.0;
     let mut t = Timing {
         rates: Vec::new(),
+        untraced_units: 0.0,
         untraced_secs: Vec::new(),
         traced_secs: Vec::new(),
-        peak_rss_mb: 0.0,
     };
     let mut i = 0usize;
     loop {
         let traced = ctx.tracer.enabled() && i % 2 == 1;
+        let start = Instant::now();
         let r = rep(traced);
+        in_reps += start.elapsed().as_secs_f64();
         if traced {
             t.traced_secs.push(r.secs);
         } else {
             t.untraced_secs.push(r.secs);
+            t.untraced_units += r.units;
             t.rates.push(r.units / r.secs);
         }
-        if i == 0 {
-            t.peak_rss_mb = peak_rss_mb();
+        if let Some(prober) = &ctx.prober {
+            if prober.spent.get() < PROBE_SHARE * in_reps {
+                prober.probe();
+            }
         }
         i += 1;
         let enough = t.untraced_secs.len() >= MIN_REPS
             && (!ctx.tracer.enabled() || t.traced_secs.len() >= MIN_REPS);
-        if enough && start.elapsed().as_secs_f64() >= ctx.seconds {
+        if enough && loop_start.elapsed().as_secs_f64() >= ctx.seconds {
+            if let Some(prober) = &ctx.prober {
+                while prober.probes.borrow().len() < MIN_PROBES {
+                    prober.probe();
+                }
+            }
             let mut r = t.rates.clone();
             r.sort_by(f64::total_cmp);
             let q = |p: f64| r[((r.len() - 1) as f64 * p).round() as usize];

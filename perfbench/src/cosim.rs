@@ -137,8 +137,8 @@ fn cosim_kernel(k: &Kernel, design: &Design) -> (u64, bool, BusStats) {
     (result.map_or(0, |r| r.cycles), ok, tb.stats())
 }
 
-/// Run the `cosim` workload (set-up only when `setup_only`).
-pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
+/// Run the `cosim` workload.
+pub fn run(ctx: &Ctx) -> Outcome {
     let tr: &Tracer = &ctx.tracer;
     let mut rng = DetRng::new(ctx.seed ^ 0xc051_0000_0000_0001);
     let dense: Vec<u64> = (0..TILES).map(|_| DENSE_N - 16 + rng.below(33)).collect();
@@ -178,9 +178,6 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ret: net(k, "ret_q"),
         })
         .collect();
-    if setup_only {
-        return None;
-    }
 
     let (mut attempted, mut failed) = (0u64, 0u64);
     let mut first: Option<Vec<u64>> = None;
@@ -286,17 +283,10 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ("trace.overhead_ratio", timing.trace_overhead(), "ratio"),
         ];
     }
-    // QoR of one fabric tile, implemented after the timed phase
-    let (_, tile, _) = crate::build_flow::implement_kernel(&ctx.untraced, ACC_SRC, 1);
-    Some(Outcome {
+    Outcome {
         attempted,
         failed,
-        end_to_end: vec![
-            ("work_per_s", timing.work_per_s(), "1/s"),
-            ("peak_rss_mb", timing.peak_rss_mb, "MB"),
-            ("fmax_mhz", tile.timing.fmax_mhz, "MHz"),
-            ("luts", tile.utilization.luts as f64, "count"),
-        ],
+        end_to_end: vec![("work_per_s", timing.work_per_s(), "1/s")],
         per_layer,
-    })
+    }
 }

@@ -94,27 +94,6 @@ fn mlp_model() -> AcceleratorModel {
     .with_measured_dma((INPUTS + OUTPUTS) * 4)
 }
 
-/// The same accelerator evaluated from a table computed up front: the
-/// reference replay's independent path to every served payload's output.
-fn table_model(model: &AcceleratorModel, arrivals: &[Request]) -> AcceleratorModel {
-    let table: HashMap<Vec<i64>, Vec<i64>> = arrivals
-        .iter()
-        .map(|r| (r.input.clone(), model.compute(&r.input)))
-        .collect();
-    AcceleratorModel::new(
-        &model.name,
-        model.batch_overhead,
-        model.per_item,
-        move |x| {
-            table
-                .get(x)
-                .cloned()
-                .expect("every payload is in the table")
-        },
-    )
-    .with_measured_dma((INPUTS + OUTPUTS) * 4)
-}
-
 /// Arrival stream offered at [`LOAD_PERMILLE`] of the initial fleet's
 /// capacity at full batches; deadlines scale with one item's service time.
 fn stream(seed: u64, model: &AcceleratorModel) -> Vec<Request> {
@@ -173,8 +152,8 @@ fn engine(s: &Setup, jobs: usize, model: AcceleratorModel, obs: Recorder) -> Fle
     .with_recorder(obs)
 }
 
-/// Run the `fleet` workload (set-up only when `setup_only`).
-pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
+/// Run the `fleet` workload.
+pub fn run(ctx: &Ctx) -> Outcome {
     let tr = &ctx.tracer;
     let model = tr.span("serve.model", 0, |_| mlp_model());
     let arrivals = tr.span("workload.generate", 0, |_| stream(ctx.seed, &model));
@@ -197,9 +176,6 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
         plan,
         scaler,
     };
-    if setup_only {
-        return None;
-    }
 
     let (mut attempted, mut failed) = (0u64, 0u64);
     let mut first: Option<FleetReport> = None;
@@ -228,16 +204,9 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
     });
     let report = first.expect("at least one rep ran");
 
-    // reference replay: default workers, no recorder, outputs from a
-    // table computed up front; it must reproduce the timed runs' report,
-    // output checksum included
-    let reference = engine(
-        &s,
-        0,
-        table_model(&s.model, &s.arrivals),
-        Recorder::disabled(),
-    )
-    .run();
+    // reference replay: default workers, no recorder; it must reproduce
+    // the timed runs' report, output checksum included
+    let reference = engine(&s, 0, s.model.clone(), Recorder::disabled()).run();
     if reference != report || !audit_serve(&s) {
         failed = attempted;
     }
@@ -299,15 +268,11 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ("trace.overhead_ratio", timing.trace_overhead(), "ratio"),
         ];
     }
-    let (_, accel, _) = crate::build_flow::implement_kernel(&ctx.untraced, ai::MLP_SOURCE, 1);
-    Some(Outcome {
+    Outcome {
         attempted,
         failed,
         end_to_end: vec![
             ("work_per_s", timing.work_per_s(), "1/s"),
-            ("peak_rss_mb", timing.peak_rss_mb, "MB"),
-            ("fmax_mhz", accel.timing.fmax_mhz, "MHz"),
-            ("luts", accel.utilization.luts as f64, "count"),
             ("p99_ticks", report.p99_latency as f64, "ticks"),
             (
                 "served_permille",
@@ -316,7 +281,7 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ),
         ],
         per_layer,
-    })
+    }
 }
 
 /// The serve engine every shard runs, audited on its own: its output

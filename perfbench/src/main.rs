@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! perfbench --workload <build|cosim|fleet|mission> --seed <n> --seconds <s>
-//!           --trace <0|1> [--commit <id>] [--setup-only]
+//!           --trace <0|1> [--commit <id>] [--probe]
 //! ```
 //!
 //! The last line of standard output is one JSON object with the keys
@@ -18,14 +18,9 @@ mod mission;
 mod suite;
 mod trace;
 
-use common::{median, Ctx, Metric, Outcome};
-use std::process::Command;
+use common::{median, Ctx, Metric, Outcome, Prober};
 use std::time::Instant;
 use trace::Tracer;
-
-/// Set-up is measured in this many fresh processes; `setup_s` is their
-/// median.
-const SETUP_SAMPLES: usize = 5;
 
 /// Every end-to-end metric, in `BENCHMARK.json` order.
 const END_TO_END: [(&str, &str); 9] = [
@@ -113,7 +108,7 @@ struct Args {
     seconds: f64,
     trace: bool,
     commit: String,
-    setup_only: bool,
+    probe: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -124,11 +119,11 @@ fn parse_args() -> Result<Args, String> {
         seconds: 10.0,
         trace: false,
         commit: "unknown".to_string(),
-        setup_only: false,
+        probe: false,
     };
     while let Some(flag) = it.next() {
-        if flag == "--setup-only" {
-            a.setup_only = true;
+        if flag == "--probe" {
+            a.probe = true;
             continue;
         }
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -163,34 +158,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(a)
 }
 
-fn run_workload(ctx: &Ctx, workload: &str, setup_only: bool) -> Option<Outcome> {
+fn run_workload(ctx: &Ctx, workload: &str) -> Outcome {
     match workload {
-        "build" => build_flow::run(ctx, setup_only),
-        "cosim" => cosim::run(ctx, setup_only),
-        "fleet" => fleet::run(ctx, setup_only),
-        "mission" => mission::run(ctx, setup_only),
+        "build" => build_flow::run(ctx),
+        "cosim" => cosim::run(ctx),
+        "fleet" => fleet::run(ctx),
+        "mission" => mission::run(ctx),
         _ => unreachable!("workload validated by parse_args"),
     }
-}
-
-/// Time set-up in fresh processes of this binary, so every sample pays
-/// the same cold caches a user's first run pays.
-fn setup_samples(a: &Args) -> Vec<f64> {
-    let exe = std::env::current_exe().expect("own executable path");
-    (0..SETUP_SAMPLES)
-        .map(|_| {
-            let out = Command::new(&exe)
-                .args(["--workload", &a.workload, "--seed", &a.seed.to_string()])
-                .args(["--seconds", "1", "--trace", "0", "--setup-only"])
-                .output()
-                .expect("set-up sample process starts");
-            assert!(out.status.success(), "set-up sample failed: {out:?}");
-            String::from_utf8_lossy(&out.stdout)
-                .trim()
-                .parse::<f64>()
-                .expect("set-up sample prints its seconds")
-        })
-        .collect()
 }
 
 fn json_metrics(metrics: &[(String, f64, String)]) -> String {
@@ -231,23 +206,24 @@ fn main() {
         jobs: hermes_par::jobs(),
         tracer: Tracer::new(a.trace),
         untraced: Tracer::new(false),
+        start,
+        probe: a.probe,
+        prober: (!a.trace && !a.probe).then(|| Prober::new(&a.workload, a.seed)),
     };
-    if a.setup_only {
-        run_workload(&ctx, &a.workload, true);
-        println!("{}", start.elapsed().as_secs_f64());
-        return;
-    }
-    let setups = setup_samples(&a);
-    let outcome = run_workload(&ctx, &a.workload, false).expect("a full run reports");
+    let outcome = run_workload(&ctx, &a.workload);
+    let probes = ctx.prober.as_ref().map_or_else(Vec::new, Prober::probes);
+    let setups: Vec<f64> = probes.iter().map(|p| p.setup_s).collect();
+    let rss: Vec<f64> = probes.iter().map(|p| p.peak_rss_mb).collect();
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let fingerprint = format!(
-        "{{\"workload\": \"{}\", \"seed\": {}, \"nproc\": {nproc}, \"jobs\": {}, \"rustc\": \"{}\", \"commit\": \"{}\", \"setup_samples_s\": {:?}}}",
+        "{{\"workload\": \"{}\", \"seed\": {}, \"nproc\": {nproc}, \"jobs\": {}, \"rustc\": \"{}\", \"commit\": \"{}\", \"probe_setup_s\": {:?}, \"probe_peak_rss_mb\": {:?}}}",
         a.workload,
         a.seed,
         ctx.jobs,
         env!("PERFBENCH_RUSTC"),
         a.commit,
         setups,
+        rss,
     );
     println!("{{\"fingerprint\": {fingerprint}}}");
 
@@ -267,6 +243,14 @@ fn main() {
     } else {
         let mut got = outcome.end_to_end.clone();
         got.push(("setup_s", median(&setups), "s"));
+        // the mean, not the median: per-thread allocator arenas put each
+        // process's peak in one of a few modes a megabyte or more apart,
+        // and a median would jump between them
+        got.push((
+            "peak_rss_mb",
+            rss.iter().sum::<f64>() / rss.len() as f64,
+            "MB",
+        ));
         complete(&END_TO_END, &got, NOT_EXERCISED)
     };
     println!(

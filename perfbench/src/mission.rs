@@ -224,8 +224,8 @@ fn mission_ok(hv: &mut Hypervisor, ids: &Ids, golden: &str, last_frame: (u32, u3
     guest_ok && nav_ok && vbn_ok && hv.hm_escalations == 0 && !hv.is_system_halted()
 }
 
-/// Run the `mission` workload (set-up only when `setup_only`).
-pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
+/// Run the `mission` workload.
+pub fn run(ctx: &Ctx) -> Outcome {
     let tr = &ctx.tracer;
     let mut rng = DetRng::new(ctx.seed ^ 0x0b00_7000_0000_0001);
     let data: Vec<u32> = (0..DATA_WORDS)
@@ -253,9 +253,6 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
         if flips.iter().all(|f| f.1 != at) {
             flips.push((rng.below(3) as usize, at, rng.below(8) as u8));
         }
-    }
-    if setup_only {
-        return None;
     }
 
     let (mut attempted, mut failed) = (0u64, 0u64);
@@ -318,12 +315,12 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
     });
     let Some(first) = first else {
         // nothing booted: every operation already counts as failed
-        return Some(Outcome {
+        return Outcome {
             attempted,
             failed,
             end_to_end: vec![("work_per_s", timing.work_per_s(), "1/s")],
             per_layer: Vec::new(),
-        });
+        };
     };
     let jitter = first
         .stats
@@ -370,17 +367,16 @@ pub fn run(ctx: &Ctx, setup_only: bool) -> Option<Outcome> {
             ("trace.overhead_ratio", timing.trace_overhead(), "ratio"),
         ];
     }
-    Some(Outcome {
+    Outcome {
         attempted,
         failed,
         end_to_end: vec![
             ("work_per_s", timing.work_per_s(), "1/s"),
-            ("peak_rss_mb", timing.peak_rss_mb, "MB"),
             ("fmax_mhz", accel.timing.fmax_mhz, "MHz"),
             ("luts", accel.utilization.luts as f64, "count"),
             ("boot_cycles", first.boot_cycles as f64, "cycles"),
             ("jitter_cycles", jitter as f64, "cycles"),
         ],
         per_layer,
-    })
+    }
 }
