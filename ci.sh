@@ -7,6 +7,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (perfbench/) sits outside the workspace: build it
+# and run its unit tests here, so a crate API change that breaks it fails
+# this gate instead of the next benchmark run.
+CARGO_TARGET_DIR=target/perfbench cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Parallel determinism gate: the worker count is a throughput knob, never a
 # results knob. Run the fanned-out experiments serial and 4-wide (via the
 # --jobs flag, which overrides HERMES_JOBS) and diff everything except the

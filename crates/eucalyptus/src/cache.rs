@@ -209,6 +209,11 @@ impl Fnv {
 mod tests {
     use super::*;
 
+    /// Held by every test that flips the process-global bypass knob or
+    /// counts store misses: the harness runs tests on parallel threads,
+    /// and a bypass set by one test would otherwise leak into the other.
+    static KNOB: Mutex<()> = Mutex::new(());
+
     #[test]
     fn fingerprint_separates_profiles() {
         let a = DeviceProfile::ng_medium_like();
@@ -249,6 +254,7 @@ mod tests {
 
     #[test]
     fn shared_sweep_hits_after_miss_and_returns_same_arc() {
+        let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
             .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
         // a sweep config no other test uses, so the first call is a miss
@@ -265,6 +271,7 @@ mod tests {
 
     #[test]
     fn bypass_skips_the_store() {
+        let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let euc = Eucalyptus::new(DeviceProfile::ng_medium_like())
             .with_kinds(vec![hermes_rtl::component::ComponentKind::Not]);
         let sweep = SweepConfig { widths: vec![6], pipeline_stages: vec![0] };

@@ -7,6 +7,12 @@
 //! 2. **Clock edge** — every sequential cell (register, RAM) samples its
 //!    inputs simultaneously and updates its state.
 //!
+//! Both phases are activity-gated. Settle evaluates only the ops whose
+//! inputs changed, and the clock edge samples only the registers whose `d`
+//! or `en` net changed since their last sample: such a register is a fixed
+//! point (it either loaded `d`, so `q == d`, or held), so skipping it is
+//! exact. RAMs are sampled on every edge.
+//!
 //! This is the discipline a synchronous single-clock design obeys on real
 //! hardware and is sufficient to validate HLS-generated FSM + datapath
 //! structures cycle-by-cycle against a software reference.
@@ -50,6 +56,17 @@ const PAR_SETTLE_GRAIN: usize = 4096;
 /// [`Self::set_event_driven`] / the `HERMES_EVENT_SETTLE` environment
 /// variable (`off`/`0` disables) force the full path for A/B comparisons.
 /// Both paths produce bit-identical `values`, register state, and traces.
+///
+/// The **clock edge is activity-gated** the same way: a net→register CSR
+/// index marks a register pending whenever its `d` or `en` net changes
+/// (on the event path, on pokes, on register commits and on RAM outputs),
+/// and [`Self::step`] samples only pending registers. A register whose
+/// inputs did not change since its last sample would reload the value it
+/// holds, so skipping it is exact. Full and partitioned settle passes mark
+/// no nets one by one, so they make every register pending; with
+/// event-driven settling off every pass is full and every register is
+/// sampled on every edge, which keeps that path the ungated reference.
+/// [`Self::reg_samples`] counts the registers sampled.
 ///
 /// Two further engines layer on top of the event-driven scan (E16):
 ///
@@ -141,8 +158,21 @@ pub struct Simulator<'n> {
     /// path (see [`PAR_SETTLE_GRAIN`]; tests lower it via
     /// [`Self::set_partition_grain`] to exercise the path on small nets).
     par_grain: usize,
-    /// Reusable per-step buffer of next register values.
-    next_regs: Vec<u64>,
+    /// CSR net→register index: registers reading net `n` as `d` or `en`
+    /// are `reg_fanout[reg_fanout_start[n]..reg_fanout_start[n + 1]]`
+    /// (indices into `regs`, ascending).
+    reg_fanout_start: Vec<u32>,
+    reg_fanout: Vec<u32>,
+    /// Registers to sample at the next clock edge, one bit per register in
+    /// 64-register words (`reg_pending[i / 64]` bit `i % 64`). Set by
+    /// [`Self::mark_net`] and, for every register, by full and partitioned
+    /// settle passes.
+    reg_pending: Vec<u64>,
+    /// Reusable per-step buffer of `(register index, next value)` for the
+    /// sampled registers whose value changes; empty between steps.
+    reg_commits: Vec<(u32, u64)>,
+    /// Total registers sampled across all clock edges.
+    reg_samples: u64,
     cycle: u64,
     /// Total settle passes executed (steps, pokes, resets).
     settle_passes: u64,
@@ -188,7 +218,11 @@ impl Clone for Simulator<'_> {
             event_driven: self.event_driven,
             settle_jobs: self.settle_jobs,
             par_grain: self.par_grain,
-            next_regs: self.next_regs.clone(),
+            reg_fanout_start: self.reg_fanout_start.clone(),
+            reg_fanout: self.reg_fanout.clone(),
+            reg_pending: self.reg_pending.clone(),
+            reg_commits: self.reg_commits.clone(),
+            reg_samples: self.reg_samples,
             cycle: self.cycle,
             settle_passes: self.settle_passes,
             settle_ops: self.settle_ops,
@@ -466,7 +500,14 @@ impl<'n> Simulator<'n> {
         let prog = Self::compile_program(netlist, scalar_ops, packed);
         let (fanout_start, fanout_ops) =
             Self::compile_fanout(netlist.net_count(), &prog.ops, &prog.packed, &prog.packed_nets);
-        let next_regs = vec![0; regs.len()];
+        let (reg_fanout_start, reg_fanout) = net_csr(
+            netlist.net_count(),
+            regs.iter().enumerate().flat_map(|(i, r)| {
+                let en = (r.en != u32::MAX).then_some((r.en, i as u32));
+                std::iter::once((r.d, i as u32)).chain(en)
+            }),
+        );
+        let reg_pending = vec![0; regs.len().div_ceil(64)];
         let dirty = (0..prog.ops.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         let packed_vals = (0..prog.packed.len()).map(|_| AtomicU64::new(0)).collect();
         let mut sim = Simulator {
@@ -497,7 +538,11 @@ impl<'n> Simulator<'n> {
             event_driven: env_event_driven(),
             settle_jobs: hermes_par::jobs(),
             par_grain: PAR_SETTLE_GRAIN,
-            next_regs,
+            reg_fanout_start,
+            reg_fanout,
+            reg_pending,
+            reg_commits: Vec::new(),
+            reg_samples: 0,
             cycle: 0,
             settle_passes: 0,
             settle_ops: 0,
@@ -527,25 +572,12 @@ impl<'n> Simulator<'n> {
                 [op.a, op.b, op.c][..op.input_count()].to_vec()
             }
         };
-        let mut counts = vec![0u32; net_count + 1];
-        for op in ops {
-            for net in op_inputs(op) {
-                counts[net as usize + 1] += 1;
-            }
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let fanout_start = counts.clone();
-        let mut cursor = counts;
-        let mut fanout_ops = vec![0u32; *fanout_start.last().unwrap_or(&0) as usize];
-        for (idx, op) in ops.iter().enumerate() {
-            for net in op_inputs(op) {
-                fanout_ops[cursor[net as usize] as usize] = idx as u32;
-                cursor[net as usize] += 1;
-            }
-        }
-        (fanout_start, fanout_ops)
+        net_csr(
+            net_count,
+            ops.iter().enumerate().flat_map(move |(idx, op)| {
+                op_inputs(op).into_iter().map(move |net| (net, idx as u32))
+            }),
+        )
     }
 
     /// Whether `op` may join a packed word, and under which group tag.
@@ -829,6 +861,14 @@ impl<'n> Simulator<'n> {
         self.settle_ops
     }
 
+    /// Total registers sampled across all clock edges so far. With the
+    /// activity-gated clock edge this is usually far below
+    /// [`cycle`](Self::cycle) × the register count; a settled, quiescent
+    /// design samples none.
+    pub fn reg_samples(&self) -> u64 {
+        self.reg_samples
+    }
+
     /// Length of the compiled combinational settle program in *scalar*
     /// ops (the per-pass op count a full, non-event-driven evaluation
     /// pays). Bit-packing folds lanes into shared words but each lane
@@ -982,7 +1022,15 @@ impl<'n> Simulator<'n> {
     }
 
     /// Drive a primary input by id.
+    ///
+    /// Every other net is driven by its cell; a value forced onto one is
+    /// not held or restored the same way by every settle mode, so debug
+    /// builds reject it.
     pub fn poke_net(&mut self, id: NetId, value: u64) {
+        debug_assert!(
+            self.netlist.inputs().contains(&id),
+            "poke_net drives primary inputs only"
+        );
         let new = mask(value, self.netlist.net(id).width);
         if self.values[id.0 as usize].load(Ordering::Relaxed) != new {
             self.values[id.0 as usize].store(new, Ordering::Relaxed);
@@ -1004,37 +1052,47 @@ impl<'n> Simulator<'n> {
         self.settle();
     }
 
-    /// Advance one clock cycle: sample all sequential elements, then settle.
+    /// Advance one clock cycle: sample the pending registers (see the
+    /// type docs) and every RAM, then settle.
     ///
     /// # Errors
     ///
     /// Currently infallible but kept fallible for forward compatibility with
     /// X-propagation checks.
     pub fn step(&mut self) -> Result<(), RtlError> {
-        // Phase 1: compute next state for every sequential cell from the
-        // *currently settled* values (simultaneous sampling). Register
-        // next-values go into the persistent scratch buffer — the hot path
-        // allocates nothing.
-        for r in &self.regs {
-            let load = r.en == u32::MAX
-                || self.values[r.en as usize].load(Ordering::Relaxed) & 1 == 1;
-            self.next_regs[r.slot as usize] = if load {
-                self.values[r.d as usize].load(Ordering::Relaxed) & r.mask
-            } else {
-                self.reg_state[r.slot as usize]
-            };
-        }
-        // Phase 2: commit register state, seeding the event worklist from
-        // every register output whose sampled value actually changed.
-        self.reg_state.copy_from_slice(&self.next_regs);
-        for i in 0..self.regs.len() {
-            let r = self.regs[i];
-            let q = self.reg_state[r.slot as usize];
-            if self.values[r.q as usize].load(Ordering::Relaxed) != q {
-                self.values[r.q as usize].store(q, Ordering::Relaxed);
-                self.mark_net(r.q);
+        // Phase 1: compute the next state of every pending register from
+        // the *currently settled* values (simultaneous sampling), consuming
+        // the pending set. Only values that differ from the stored state
+        // go into the commit buffer, which keeps its capacity across steps.
+        for w in 0..self.reg_pending.len() {
+            let mut bits = std::mem::take(&mut self.reg_pending[w]);
+            self.reg_samples += u64::from(bits.count_ones());
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let r = &self.regs[i];
+                let load =
+                    r.en == u32::MAX || self.values[r.en as usize].load(Ordering::Relaxed) & 1 == 1;
+                if load {
+                    let d = self.values[r.d as usize].load(Ordering::Relaxed) & r.mask;
+                    if d != self.reg_state[r.slot as usize] {
+                        self.reg_commits.push((i as u32, d));
+                    }
+                }
             }
         }
+        // Phase 2: commit, seeding the event worklist (and the next edge's
+        // pending set) from every register output that changed. A
+        // register's output net always holds its state between steps, so
+        // an unchanged state needs no store.
+        for k in 0..self.reg_commits.len() {
+            let (i, q) = self.reg_commits[k];
+            let r = self.regs[i as usize];
+            self.reg_state[r.slot as usize] = q;
+            self.values[r.q as usize].store(q, Ordering::Relaxed);
+            self.mark_net(r.q);
+        }
+        self.reg_commits.clear();
         // RAMs: ports sample `values`, which no commit above touches, and
         // each memory is private to its cell — so read-first reads, the
         // write commit, and the output drive can be fused per RAM. Output
@@ -1150,9 +1208,16 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Queue every op reading `net` for the next event-driven settle pass.
+    /// Queue every op reading `net` for the next event-driven settle pass,
+    /// and every register reading it for the next clock edge.
     #[inline]
     fn mark_net(&mut self, net: u32) {
+        let lo = self.reg_fanout_start[net as usize] as usize;
+        let hi = self.reg_fanout_start[net as usize + 1] as usize;
+        for k in lo..hi {
+            let r = self.reg_fanout[k] as usize;
+            self.reg_pending[r / 64] |= 1u64 << (r % 64);
+        }
         let lo = self.fanout_start[net as usize] as usize;
         let hi = self.fanout_start[net as usize + 1] as usize;
         for k in lo..hi {
@@ -1200,9 +1265,19 @@ impl<'n> Simulator<'n> {
         }
     }
 
+    /// Make every register pending for the next clock edge: full and
+    /// partitioned passes change values without marking them one by one.
+    fn pend_all_regs(&mut self) {
+        self.reg_pending.fill(u64::MAX);
+        if let Some(last) = self.reg_pending.last_mut() {
+            *last = mask(u64::MAX, (self.regs.len() - 1) as u32 % 64 + 1);
+        }
+    }
+
     /// Evaluate the entire compiled program in rank-major order.
     fn settle_full(&mut self) {
         self.settle_ops += self.program_weight;
+        self.pend_all_regs();
         // Sequential outputs first: registers continuously drive their state.
         for r in &self.regs {
             self.values[r.q as usize].store(self.reg_state[r.slot as usize], Ordering::Relaxed);
@@ -1299,6 +1374,7 @@ impl<'n> Simulator<'n> {
     /// cross-rank reads after their writes.
     fn settle_partitioned(&mut self, full: bool) {
         self.settle_parallel_passes += 1;
+        self.pend_all_regs();
         if full {
             for r in &self.regs {
                 self.values[r.q as usize]
@@ -1553,6 +1629,31 @@ impl SpinBarrier {
             }
         }
     }
+}
+
+/// Build a CSR index from `(net, target)` edges listed in ascending
+/// target order: the targets of net `n` are
+/// `targets[start[n]..start[n + 1]]`, ascending. The edge iterator is
+/// walked twice (count, then fill).
+fn net_csr(
+    net_count: usize,
+    edges: impl Iterator<Item = (u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut counts = vec![0u32; net_count + 1];
+    for (net, _) in edges.clone() {
+        counts[net as usize + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    let start = counts.clone();
+    let mut cursor = counts;
+    let mut targets = vec![0u32; *start.last().unwrap_or(&0) as usize];
+    for (net, target) in edges {
+        targets[cursor[net as usize] as usize] = target;
+        cursor[net as usize] += 1;
+    }
+    (start, targets)
 }
 
 /// Evaluate one packed word: read each input slot (aligned word read or
@@ -2168,6 +2269,84 @@ mod tests {
         sim.poke("a", 0x00).unwrap();
         assert_eq!(sim.peek_net(cur), 0x00);
         assert!(sim.settle_parallel_passes() > 0);
+    }
+
+    /// One tile of the gating fabric: an enable-gated counter `cnt`
+    /// (`go` enables it), a register `lag` fed by `cnt` (register →
+    /// register), and a register `hold` whose `d` is the primary input `x`.
+    fn gating_tile() -> Netlist {
+        let mut nl = Netlist::new("gate");
+        let go = nl.add_input("go", 1);
+        let x = nl.add_input("x", 8);
+        let one = nl.add_net("one", 8);
+        let cnt = nl.add_net("cnt", 8);
+        let next = nl.add_net("next", 8);
+        let lag = nl.add_net("lag", 8);
+        let hold = nl.add_net("hold", 8);
+        nl.add_cell("c1", CellOp::Const { value: 1 }, &[], &[one])
+            .unwrap();
+        nl.add_cell("add", CellOp::Add, &[cnt, one], &[next])
+            .unwrap();
+        let reg = |has_enable| CellOp::Register {
+            has_enable,
+            has_reset: true,
+        };
+        nl.add_cell("r_cnt", reg(true), &[next, go], &[cnt])
+            .unwrap();
+        nl.add_cell("r_lag", reg(false), &[cnt], &[lag]).unwrap();
+        nl.add_cell("r_hold", reg(false), &[x], &[hold]).unwrap();
+        nl.mark_output(lag);
+        nl.mark_output(hold);
+        nl
+    }
+
+    /// The clock edge samples only registers whose inputs changed: a
+    /// settled, quiescent fabric samples none, and one active tile of
+    /// eight samples at most its own registers — with the same values as
+    /// the ungated full-settle reference, which samples every register.
+    #[test]
+    fn clock_edge_samples_only_changed_registers() {
+        const TILE_REGS: u64 = 3;
+        let nl = gating_tile().tiled(8);
+        let mut sim = Simulator::new(&nl).unwrap();
+        let mut full = Simulator::new(&nl).unwrap();
+        full.set_event_driven(false);
+        // the first edge after construction samples everything
+        sim.step().unwrap();
+        assert_eq!(sim.reg_samples(), 8 * TILE_REGS);
+        for _ in 0..20 {
+            let before = sim.reg_samples();
+            sim.step().unwrap();
+            assert_eq!(
+                sim.reg_samples(),
+                before,
+                "quiescent fabric samples nothing"
+            );
+        }
+        full.run(sim.cycle()).unwrap();
+        let go = nl.net_by_name("u5_go").unwrap();
+        let x = nl.net_by_name("u5_x").unwrap();
+        sim.poke_net(go, 1);
+        full.poke_net(go, 1);
+        for cycle in 0..40u64 {
+            if cycle % 7 == 0 {
+                sim.poke_net(x, cycle);
+                full.poke_net(x, cycle);
+            }
+            let before = sim.reg_samples();
+            sim.step().unwrap();
+            full.step().unwrap();
+            let sampled = sim.reg_samples() - before;
+            assert!(
+                sampled <= TILE_REGS,
+                "cycle {cycle}: sampled {sampled} registers, one tile has {TILE_REGS}"
+            );
+            for (nid, _) in nl.nets() {
+                assert_eq!(sim.peek_net(nid), full.peek_net(nid), "net {nid}");
+            }
+        }
+        assert_eq!(sim.peek("u5_cnt").unwrap(), 40);
+        assert_eq!(full.reg_samples(), full.cycle() * 8 * TILE_REGS);
     }
 
     /// Simulator::clone preserves all state, including packed words and

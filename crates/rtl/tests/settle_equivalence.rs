@@ -6,7 +6,9 @@
 //! `DetRng` loops — no external dependencies). Generator profiles bias
 //! toward RAM-heavy, wide-bus, and 1-bit-heavy shapes so each engine's
 //! fast paths (packed words, aligned slots, partition claiming) are all
-//! exercised.
+//! exercised. A tiled variant drives one tile of eight so the
+//! activity-gated clock edge skips the idle ones, and checks it against
+//! the ungated full-settle reference.
 
 use hermes_rtl::component::Comparison;
 use hermes_rtl::netlist::{CellId, CellOp, NetId, Netlist};
@@ -327,11 +329,7 @@ fn lockstep(
     tag: &str,
 ) {
     let inputs: Vec<NetId> = nl.inputs().to_vec();
-    let reg_cells: Vec<CellId> = nl
-        .cells()
-        .filter(|(_, c)| matches!(c.op, CellOp::Register { .. }))
-        .map(|(cid, _)| cid)
-        .collect();
+    let reg_cells = register_cells(nl);
     let traced: Vec<NetId> = nl.nets().map(|(id, _)| id).take(8).collect();
     for (_, s) in sims.iter_mut() {
         s.enable_trace(&traced);
@@ -352,24 +350,49 @@ fn lockstep(
         for (_, s) in sims.iter_mut() {
             s.step().expect("step");
         }
-        let (ref_name, reference) = &sims[0];
-        for (name, s) in &sims[1..] {
-            for (nid, _) in nl.nets() {
-                assert_eq!(
-                    s.peek_net(nid),
-                    reference.peek_net(nid),
-                    "{tag} cycle {cycle}: net {nid} diverged ({name} vs {ref_name})"
-                );
-            }
-            for &cid in &reg_cells {
-                assert_eq!(
-                    s.register_state(cid),
-                    reference.register_state(cid),
-                    "{tag} cycle {cycle}: register {cid} diverged ({name} vs {ref_name})"
-                );
-            }
+        assert_same_state(nl, sims, &reg_cells, &format!("{tag} cycle {cycle}"));
+    }
+    assert_same_traces(sims, tag);
+}
+
+/// Every register cell of `nl`.
+fn register_cells(nl: &Netlist) -> Vec<CellId> {
+    nl.cells()
+        .filter(|(_, c)| matches!(c.op, CellOp::Register { .. }))
+        .map(|(cid, _)| cid)
+        .collect()
+}
+
+/// Assert every net and every register's stored state of each simulator
+/// equals the reference (index 0).
+fn assert_same_state(
+    nl: &Netlist,
+    sims: &[(&'static str, Simulator)],
+    reg_cells: &[CellId],
+    at: &str,
+) {
+    let (ref_name, reference) = &sims[0];
+    for (name, s) in &sims[1..] {
+        for (nid, _) in nl.nets() {
+            assert_eq!(
+                s.peek_net(nid),
+                reference.peek_net(nid),
+                "{at}: net {nid} diverged ({name} vs {ref_name})"
+            );
+        }
+        for &cid in reg_cells {
+            assert_eq!(
+                s.register_state(cid),
+                reference.register_state(cid),
+                "{at}: register {cid} diverged ({name} vs {ref_name})"
+            );
         }
     }
+}
+
+/// Take every simulator's trace and assert its rows equal the
+/// reference's (index 0).
+fn assert_same_traces(sims: &mut [(&'static str, Simulator)], tag: &str) {
     let reference = sims[0].1.take_trace().unwrap();
     for (name, s) in &mut sims[1..] {
         let t = s.take_trace().unwrap();
@@ -463,5 +486,173 @@ fn partitioned_matches_serial_across_jobs() {
                 "{pname} case {case}"
             );
         }
+    }
+}
+
+/// A random tile plus a 1-bit primary input `en` and a register chain
+/// that the clock-edge gate must handle: a register whose `d` is a
+/// primary input, register → register links (alternately gated by
+/// `en`), and a gated register fed by logic mixing the chain's end with
+/// the random part.
+fn gated_tile(rng: &mut DetRng) -> Netlist {
+    let mut nl = random_netlist_with(rng, BASELINE);
+    let pool: Vec<NetId> = nl.nets().map(|(id, _)| id).collect();
+    let first_input = nl.inputs()[0];
+    let en = nl.add_input("en", 1);
+    let mut prev = first_input;
+    for i in 0..4 {
+        let q = nl.add_net(format!("chain{i}"), nl.net(prev).width);
+        let gated = i % 2 == 0;
+        let ins = if gated { vec![prev, en] } else { vec![prev] };
+        nl.add_cell(
+            format!("chain_r{i}"),
+            CellOp::Register {
+                has_enable: gated,
+                has_reset: i != 3,
+            },
+            &ins,
+            &[q],
+        )
+        .unwrap();
+        prev = q;
+    }
+    let other = pool[rng.below(pool.len() as u64) as usize];
+    let mix = nl.add_net("mix", 16);
+    let mix_q = nl.add_net("mix_q", 16);
+    nl.add_cell("mix_add", CellOp::Add, &[prev, other], &[mix])
+        .unwrap();
+    nl.add_cell(
+        "mix_r",
+        CellOp::Register {
+            has_enable: true,
+            has_reset: true,
+        },
+        &[mix, en],
+        &[mix_q],
+    )
+    .unwrap();
+    nl.mark_output(mix_q);
+    nl
+}
+
+/// The activity-gated clock edge against the ungated reference on an
+/// eight-tile fabric where only one tile is driven: its `en` sits low
+/// for long stretches, resets land mid-run, and a clone taken mid-run,
+/// while the tile is busy, keeps stepping. Nets, register state and trace rows must match the
+/// full-settle simulator (which samples every register every cycle) on
+/// every cycle, while the gated simulators sample fewer registers.
+#[test]
+fn gated_clock_edge_matches_ungated_on_sparse_tiles() {
+    const TILES: u64 = 8;
+    const CYCLES: u64 = 800;
+    let mut rng = DetRng::new(0xE13_C10C);
+    for case in 0..8u64 {
+        let fabric = gated_tile(&mut rng).tiled(TILES as usize);
+        fabric
+            .validate()
+            .expect("tiled netlist is structurally valid");
+        let reg_cells = register_cells(&fabric);
+        let traced: Vec<NetId> = fabric
+            .nets()
+            .map(|(id, _)| id)
+            .step_by(7)
+            .take(16)
+            .collect();
+        let mut full = Simulator::new_with_packing(&fabric, true).expect("full sim");
+        full.set_event_driven(false);
+        let mut partitioned = Simulator::new_with_packing(&fabric, true).expect("part sim");
+        partitioned.set_partition_grain(1);
+        partitioned.set_settle_jobs(2);
+        let mut sims: Vec<(&'static str, Simulator)> = vec![
+            ("full", full),
+            (
+                "packed",
+                Simulator::new_with_packing(&fabric, true).expect("packed sim"),
+            ),
+            (
+                "scalar",
+                Simulator::new_with_packing(&fabric, false).expect("scalar sim"),
+            ),
+            ("partitioned", partitioned),
+        ];
+        for (_, s) in &mut sims {
+            s.enable_trace(&traced);
+        }
+
+        let active = rng.below(TILES);
+        let prefix = format!("u{active}_");
+        let en = fabric
+            .net_by_name(&format!("{prefix}en"))
+            .expect("tile enable");
+        let inputs: Vec<NetId> = fabric
+            .inputs()
+            .iter()
+            .copied()
+            .filter(|&id| id != en && fabric.net(id).name.starts_with(&prefix))
+            .collect();
+        let (mut en_value, mut en_flip) = (0u64, rng.range_u64(50, 200));
+        for cycle in 0..CYCLES {
+            let mut pokes = Vec::new();
+            if cycle == en_flip {
+                en_value ^= 1;
+                // enabled stretches are short, disabled ones long
+                en_flip += if en_value == 1 {
+                    rng.range_u64(5, 40)
+                } else {
+                    rng.range_u64(60, 200)
+                };
+                pokes.push((en, en_value));
+            }
+            if rng.chance(0.3) {
+                pokes.push((
+                    inputs[rng.below(inputs.len() as u64) as usize],
+                    rng.next_u64(),
+                ));
+            }
+            for (_, s) in &mut sims {
+                for &(id, v) in &pokes {
+                    s.poke_net(id, v);
+                }
+            }
+            if rng.chance(0.005) {
+                for (_, s) in &mut sims {
+                    s.reset();
+                }
+            }
+            // clone while the tile is busy, so registers are pending
+            if sims.len() == 4 && cycle >= CYCLES / 2 && en_value == 1 && !pokes.is_empty() {
+                let twin = sims[1].1.clone();
+                sims.push(("packed_clone", twin));
+            }
+            for (_, s) in &mut sims {
+                s.step().expect("step");
+            }
+            assert_same_state(
+                &fabric,
+                &sims,
+                &reg_cells,
+                &format!("case {case} cycle {cycle}"),
+            );
+        }
+        assert_eq!(sims.len(), 5, "case {case}: the clone was taken");
+        let all = sims[0].1.reg_samples();
+        assert_eq!(
+            all,
+            CYCLES * reg_cells.len() as u64,
+            "case {case}: the reference samples every register"
+        );
+        for (name, s) in &sims[1..] {
+            assert_eq!(
+                s.settle_passes(),
+                sims[0].1.settle_passes(),
+                "case {case} {name}"
+            );
+            assert!(
+                s.reg_samples() < all,
+                "case {case} {name}: gated edge sampled {} of {all}",
+                s.reg_samples()
+            );
+        }
+        assert_same_traces(&mut sims, &format!("case {case}"));
     }
 }
