@@ -268,7 +268,7 @@ PY
 # emit schema'd JSON, fast-forward in every layer, clear the >=10x
 # cross-layer polled-tick reduction gate (the gate is algorithmic —
 # counted scheduler passes, not wall clock — so it is safe to assert on
-# a live run even on this single shared core), keep the off-knob replay
+# a live run even on a small shared host), keep the off-knob replay
 # byte-identical, and leave no timer unaccounted on the wheel.
 "$EXP" e18 --jobs 1 --json /tmp/hermes_e18_smoke.json > /dev/null
 python3 - <<'PY' 2>/dev/null || grep -q '"schema": "hermes-bench/v1"' /tmp/hermes_e18_smoke.json
@@ -338,8 +338,8 @@ PY
 # the E17 rows, and its sampled-tracing overhead row (16 permille) must
 # stay under 5% vs the untraced recorder — the HERMES_TRACE_SAMPLE knob
 # is the documented bound on always-on tracing cost. Asserted against
-# the committed file (not a fresh run): this container's single shared
-# core makes live wall-clock gates flaky by design.
+# the committed file (not a fresh run): live wall-clock gates on the
+# shared two-core benchmark host are flaky by design.
 python3 - <<'PY' 2>/dev/null || grep -q '"e17b"' BENCH_hermes.json
 import json
 doc = json.load(open('BENCH_hermes.json'))

@@ -50,18 +50,22 @@ impl BusStats {
     /// instant links into `ctx`'s trace, so a request trace that crosses
     /// the bus (serve → DMA measurement → AXI) stays one connected tree.
     pub fn obs_export_ctx(&self, obs: &hermes_obs::Recorder, sub: &str, ctx: hermes_obs::TraceCtx) {
-        obs.counter_add(sub, "cycles", self.cycles);
-        obs.counter_add(sub, "bytes_read", self.bytes_read);
-        obs.counter_add(sub, "bytes_written", self.bytes_written);
-        obs.counter_add(sub, "read_bursts", self.read_bursts);
-        obs.counter_add(sub, "write_bursts", self.write_bursts);
-        obs.counter_add(sub, "retries", self.retries);
-        obs.counter_add(sub, "slverrs", self.slverrs);
-        obs.counter_add(sub, "timeouts", self.timeouts);
-        obs.counter_add(sub, "retry_give_ups", self.retry_give_ups);
+        for (name, v) in [
+            ("cycles", self.cycles),
+            ("bytes_read", self.bytes_read),
+            ("bytes_written", self.bytes_written),
+            ("read_bursts", self.read_bursts),
+            ("write_bursts", self.write_bursts),
+            ("retries", self.retries),
+            ("slverrs", self.slverrs),
+            ("timeouts", self.timeouts),
+            ("retry_give_ups", self.retry_give_ups),
+        ] {
+            obs.counter_add(obs.counter(sub, name), v);
+        }
         if let Some(mean) = self.total_read_latency.checked_div(self.read_bursts) {
             // fixed buckets in bus cycles: latency profile of read bursts
-            obs.observe(sub, "read_latency", &[8, 16, 32, 64, 128, 256], mean);
+            obs.observe(obs.histogram(sub, "read_latency", &[8, 16, 32, 64, 128, 256]), mean);
         }
         obs.trace_instant(
             sub,

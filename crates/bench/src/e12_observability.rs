@@ -94,7 +94,7 @@ pub fn run_traced(session: &Recorder) -> ExperimentOutput {
         assert!(events > 0, "{id}: instrumented run recorded no events");
         let overhead = (on_secs / off_secs - 1.0) * 100.0;
         worst = worst.max(overhead);
-        session.counter_add("bench.e12", &format!("{id}_events"), events);
+        session.counter_add(session.counter("bench.e12", &format!("{id}_events")), events);
         t.row(cells![
             id,
             format!("{:.1}", off_secs * 1e3),

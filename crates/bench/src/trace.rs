@@ -216,9 +216,9 @@ mod tests {
             WallMark::none(),
         );
         r.instant("fpga", "anneal-epoch", ClockDomain::Seq, 0, &[]);
-        r.counter_add("hls", "compiles", 1);
-        r.gauge_set("fpga", "best_hpwl_x10", 123);
-        r.observe("axi", "read_latency", &[8, 16], 9);
+        r.counter_add(r.counter("hls", "compiles"), 1);
+        r.gauge_set(r.gauge("fpga", "best_hpwl_x10"), 123);
+        r.observe(r.histogram("axi", "read_latency", &[8, 16]), 9);
         r
     }
 

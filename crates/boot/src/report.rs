@@ -145,24 +145,19 @@ impl BootReport {
             );
             at += st.cycles;
         }
-        obs.counter_add(sub, "flash_corrected_bytes", self.flash_corrected_bytes);
-        obs.counter_add(sub, "spw_retransmissions", self.spw_retransmissions);
-        obs.counter_add(sub, "images_loaded", u64::from(self.images_loaded));
-        obs.counter_add(
-            sub,
-            "bitstreams_programmed",
-            u64::from(self.bitstreams_programmed),
-        );
-        obs.counter_add(
-            sub,
-            "boot_source_failovers",
-            u64::from(self.boot_source_failovers),
-        );
-        obs.counter_add(
-            sub,
-            "golden_bitstream_substitutions",
-            u64::from(self.golden_bitstream_substitutions),
-        );
+        for (name, v) in [
+            ("flash_corrected_bytes", self.flash_corrected_bytes),
+            ("spw_retransmissions", self.spw_retransmissions),
+            ("images_loaded", u64::from(self.images_loaded)),
+            ("bitstreams_programmed", u64::from(self.bitstreams_programmed)),
+            ("boot_source_failovers", u64::from(self.boot_source_failovers)),
+            (
+                "golden_bitstream_substitutions",
+                u64::from(self.golden_bitstream_substitutions),
+            ),
+        ] {
+            obs.counter_add(obs.counter(sub, name), v);
+        }
         let verdict = if self.success {
             "success"
         } else if self.safe_mode {

@@ -364,9 +364,13 @@ pub fn hostile_campaign_traced(cfg: &HostileCampaignConfig, obs: &Recorder) -> H
     report.hm_escalations = hv2.hm_escalations;
     report.spare_failovers = hv2.spare_failovers;
 
-    child.counter_add("chaos", "hostile_probes", report.probes);
-    child.counter_add("chaos", "hostile_trapped", report.trapped);
-    child.counter_add("chaos", "hostile_silent", report.silent);
+    for (name, v) in [
+        ("hostile_probes", report.probes),
+        ("hostile_trapped", report.trapped),
+        ("hostile_silent", report.silent),
+    ] {
+        child.counter_add(child.counter("chaos", name), v);
+    }
     obs.absorb(&child);
     report
 }

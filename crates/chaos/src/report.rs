@@ -83,7 +83,7 @@ impl ChaosReport {
         } else {
             self.injected.push((label.to_string(), 1));
         }
-        self.obs.counter_add("chaos", "faults_injected", 1);
+        self.obs.counter_add(self.obs.counter("chaos", "faults_injected"), 1);
         self.obs.instant(
             "chaos",
             "fault-injected",
@@ -114,7 +114,8 @@ impl ChaosReport {
             ("watchdog-expiry", r.watchdog_expiries),
             ("edac-correction", r.edac_corrections),
         ] {
-            self.obs.counter_add("chaos", &format!("recovered.{label}"), n);
+            let c = self.obs.counter("chaos", &format!("recovered.{label}"));
+            self.obs.counter_add(c, n);
             if n > 0 {
                 fired += 1;
                 self.obs.instant(
@@ -126,13 +127,10 @@ impl ChaosReport {
                 );
             }
         }
-        self.obs
-            .counter_add("chaos", "silent_corruptions", self.silent_corruptions);
-        self.obs.gauge_set(
-            "chaos",
-            "availability_pct_x100",
-            (self.availability() * 10_000.0) as i64,
-        );
+        let silent = self.obs.counter("chaos", "silent_corruptions");
+        self.obs.counter_add(silent, self.silent_corruptions);
+        let availability = self.obs.gauge("chaos", "availability_pct_x100");
+        self.obs.gauge_set(availability, (self.availability() * 10_000.0) as i64);
         self.obs.instant(
             "chaos",
             "campaign-verdict",

@@ -34,7 +34,7 @@ use crate::scaler::{Autoscaler, FleetSample, ScaleAction, ScalerConfig};
 use crate::{mix64, Tick};
 use hermes_chaos::plan::{FaultKind, FaultPlan};
 use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
-use hermes_obs::{ClockDomain, Histogram, Recorder};
+use hermes_obs::{ClockDomain, Gauge, Histogram, Recorder};
 use hermes_serve::engine::{ServeConfig, ServeEngine, ServeReport};
 use hermes_serve::model::AcceleratorModel;
 use hermes_serve::request::Request;
@@ -242,6 +242,22 @@ impl FleetReport {
     }
 }
 
+/// Handles of the fleet gauges set every step, registered on the
+/// attached recorder.
+struct FleetMetrics {
+    queued: Gauge,
+    live_shards: Gauge,
+}
+
+impl FleetMetrics {
+    fn register(obs: &Recorder) -> Self {
+        FleetMetrics {
+            queued: obs.gauge("fleet", "queued"),
+            live_shards: obs.gauge("fleet", "live_shards"),
+        }
+    }
+}
+
 /// The sharded serving fleet.
 pub struct FleetEngine {
     cfg: FleetConfig,
@@ -253,6 +269,7 @@ pub struct FleetEngine {
     plan: Option<FaultPlan>,
     scaler: Option<Autoscaler>,
     obs: Recorder,
+    metrics: FleetMetrics,
     now: Tick,
     event_kernel: bool,
     memo: FleetMemo,
@@ -280,12 +297,15 @@ impl FleetEngine {
     /// internally) with `cfg.shards` initial shards.
     pub fn new(cfg: FleetConfig, model: AcceleratorModel, mut arrivals: Vec<Request>) -> Self {
         arrivals.sort_by_key(|r| (r.arrival, r.id));
+        let obs = Recorder::disabled();
+        let metrics = FleetMetrics::register(&obs);
         let mut fleet = FleetEngine {
             ring: HashRing::new(cfg.vnodes),
             shards: Vec::new(),
             plan: None,
             scaler: None,
-            obs: Recorder::disabled(),
+            obs,
+            metrics,
             now: 0,
             event_kernel: hermes_kernel::event_kernel_enabled(),
             memo: FleetMemo::default(),
@@ -336,6 +356,7 @@ impl FleetEngine {
     /// recorder at retirement/finish.
     #[must_use]
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
+        self.metrics = FleetMetrics::register(&obs);
         self.obs = obs;
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let child = self.obs.child_named(&format!("shard{i}"));
@@ -604,8 +625,9 @@ impl FleetEngine {
             }
         }
         let queued: usize = self.shards.iter().map(|s| s.engine.queued_hint()).sum();
-        self.obs.gauge_set("fleet", "queued", queued as i64);
-        self.obs.gauge_set("fleet", "live_shards", self.live_shards().len() as i64);
+        self.obs.gauge_set(self.metrics.queued, queued as i64);
+        let live = self.shards.iter().filter(|s| s.state == ShardState::Live).count();
+        self.obs.gauge_set(self.metrics.live_shards, live as i64);
     }
 
     fn post_timer(
@@ -760,7 +782,7 @@ impl FleetEngine {
             ("scale_ups", report.scale_ups),
             ("scale_downs", report.scale_downs),
         ] {
-            self.obs.counter_add("fleet", name, v);
+            self.obs.counter_add(self.obs.counter("fleet", name), v);
         }
         report
     }

@@ -310,7 +310,7 @@ impl NxFlow {
             &[("bytes", bitstream.size_bytes().to_string())],
             m4,
         );
-        obs.counter_add(SUB, "flows", 1);
+        obs.counter_add(obs.counter(SUB, "flows"), 1);
         let t5 = Instant::now();
 
         let u = synth.report.utilization;

@@ -366,8 +366,8 @@ impl Placer {
             cost = total(&locations);
         }
 
-        obs.counter_add(OBS_SUB, "moves_tried", moves_tried);
-        obs.counter_add(OBS_SUB, "moves_accepted", moves_accepted);
+        obs.counter_add(obs.counter(OBS_SUB, "moves_tried"), moves_tried);
+        obs.counter_add(obs.counter(OBS_SUB, "moves_accepted"), moves_accepted);
 
         Ok(Placement {
             locations,
@@ -444,7 +444,7 @@ impl Placer {
             }
         }
         let best = best.expect("starts >= 1 yields a result");
-        obs.gauge_set(OBS_SUB, "best_hpwl_x10", (best.hpwl * 10.0) as i64);
+        obs.gauge_set(obs.gauge(OBS_SUB, "best_hpwl_x10"), (best.hpwl * 10.0) as i64);
         Ok(best)
     }
 

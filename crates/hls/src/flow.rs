@@ -241,8 +241,8 @@ impl HlsFlow {
             m,
         );
 
-        obs.counter_add(SUB, "compiles", 1);
-        obs.counter_add(SUB, "netlist_cells", dp.netlist.cell_count() as u64);
+        obs.counter_add(obs.counter(SUB, "compiles"), 1);
+        obs.counter_add(obs.counter(SUB, "netlist_cells"), dp.netlist.cell_count() as u64);
 
         Ok(Design {
             ir,

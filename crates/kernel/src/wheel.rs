@@ -149,10 +149,10 @@ impl WheelStats {
             ("cascades", self.cascades),
             ("cascaded_events", self.cascaded_events),
         ] {
-            obs.counter_add(sub, name, v);
+            obs.counter_add(obs.counter(sub, name), v);
         }
-        obs.gauge_set(sub, "max_occupancy", self.max_occupancy as i64);
-        obs.gauge_set(sub, "max_overflow", self.max_overflow as i64);
+        obs.gauge_set(obs.gauge(sub, "max_occupancy"), self.max_occupancy as i64);
+        obs.gauge_set(obs.gauge(sub, "max_overflow"), self.max_overflow as i64);
     }
 }
 

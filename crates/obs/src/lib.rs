@@ -31,6 +31,28 @@
 //! A disabled recorder ([`Recorder::disabled`]) early-returns from every
 //! recording call after a single branch, so instrumentation can stay in
 //! hot paths unconditionally.
+//!
+//! ## Metric handles
+//!
+//! A metric is registered once — [`Recorder::counter`],
+//! [`Recorder::gauge`], [`Recorder::histogram`] — which resolves its name
+//! (and a [`Recorder::child_named`] namespace) and returns a `Copy`
+//! handle. Recording through the handle goes straight to the metric's
+//! slot: no string work, no hashing, no allocation. Counters and gauges
+//! are one atomic operation; a histogram observation takes that
+//! histogram's own (uncontended) lock. A metric shows in a [`Snapshot`]
+//! only from its first update on, in first-update order, so registering
+//! up front changes no snapshot. Trace, span and child ids come from
+//! atomic sequences beside the recorder state, so
+//! [`Recorder::mint_trace`] takes no lock.
+//!
+//! ```
+//! use hermes_obs::Recorder;
+//! let shard = Recorder::new().child_named("shard0");
+//! let served = shard.counter("serve", "served");
+//! shard.counter_add(served, 1);
+//! assert_eq!(shard.snapshot().counters[0].0, "shard0/serve");
+//! ```
 
 pub mod env;
 pub mod profile;
@@ -39,7 +61,8 @@ pub mod warnings;
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-subsystem ring capacity.
@@ -108,12 +131,20 @@ const SPAN_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// while staying a pure function of construction order — the property
 /// that keeps traces byte-identical across worker counts.
 fn fnv_mix(domain: u64, seq: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in domain.to_le_bytes().into_iter().chain(seq.to_le_bytes()) {
+    fnv_word(fnv_word(FNV_BASIS, domain), seq).max(1)
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a state after folding `word`'s little-endian bytes into `h`.
+/// A recorder folds its domain once at construction, so minting an id
+/// folds only the sequence word.
+fn fnv_word(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h.max(1)
+    h
 }
 
 /// Causal trace identity minted at a request boundary (admission, a
@@ -153,7 +184,7 @@ impl TraceCtx {
     /// on any counter — so the sampled subset is identical at any worker
     /// count and any interleaving. Untraced contexts never sample in.
     pub fn sampled(&self, permille: u64) -> bool {
-        if self.trace_id == 0 {
+        if self.trace_id == 0 || permille == 0 {
             return false;
         }
         if permille >= 1000 {
@@ -362,50 +393,275 @@ struct SubBuf {
     dropped: u64,
 }
 
-#[derive(Debug, Default)]
-struct Metrics {
-    counters: Vec<(String, String, u64)>,
-    counter_idx: HashMap<String, usize>,
-    gauges: Vec<(String, String, i64)>,
-    gauge_idx: HashMap<String, usize>,
-    hists: Vec<(String, String, Histogram)>,
-    hist_idx: HashMap<String, usize>,
-    /// Reusable composite-key buffer for index lookups: steady-state
-    /// metric updates (the serving hot path observes a histogram per
-    /// served request) allocate nothing — the key is only cloned out on
-    /// a metric's first touch.
-    scratch: String,
+/// The slot of a registered metric: the recorder that issued the handle
+/// and the metric's index in that recorder's family of its kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MetricId {
+    owner: u32,
+    index: u32,
 }
 
-impl Metrics {
-    /// Build the `sub`/`name` composite key in the scratch buffer.
-    fn fill_key(&mut self, sub: &str, name: &str) {
-        self.scratch.clear();
-        self.scratch.push_str(sub);
-        self.scratch.push('\u{1f}');
-        self.scratch.push_str(name);
+/// A registered counter ([`Recorder::counter`]). Record through the
+/// recorder that issued it, or any clone of that recorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter(MetricId);
+
+/// A registered gauge ([`Recorder::gauge`]). Record through the recorder
+/// that issued it, or any clone of that recorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gauge(MetricId);
+
+/// A registered histogram ([`Recorder::histogram`]). Record through the
+/// recorder that issued it, or any clone of that recorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hist(MetricId);
+
+/// The storage of one metric's value, updated without the recorder's
+/// locks. Values are statistics that publish no other data, so atomics
+/// are `Relaxed`.
+trait MetricCell: Send + Sync {
+    /// The value snapshots list.
+    type Value: Clone;
+    fn new(v: Self::Value) -> Self;
+    fn load(&self) -> Self::Value;
+    /// The value, leaving the cell empty (histogram bounds kept).
+    fn take(&self) -> Self::Value;
+    /// Fold in a value drained from a child recorder.
+    fn fold(&self, v: &Self::Value);
+    fn put(&self, v: Self::Value);
+}
+
+struct CounterCell(AtomicU64);
+
+impl MetricCell for CounterCell {
+    type Value = u64;
+    fn new(v: u64) -> Self {
+        CounterCell(AtomicU64::new(v))
+    }
+    fn load(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+    fn take(&self) -> u64 {
+        self.0.swap(0, Ordering::Relaxed)
+    }
+    fn fold(&self, v: &u64) {
+        self.0.fetch_add(*v, Ordering::Relaxed);
+    }
+    fn put(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
     }
 }
 
+struct GaugeCell(AtomicI64);
+
+impl MetricCell for GaugeCell {
+    type Value = i64;
+    fn new(v: i64) -> Self {
+        GaugeCell(AtomicI64::new(v))
+    }
+    fn load(&self) -> i64 {
+        self.0.load(Ordering::Relaxed)
+    }
+    fn take(&self) -> i64 {
+        self.0.swap(0, Ordering::Relaxed)
+    }
+    /// A gauge takes the child's latest value.
+    fn fold(&self, v: &i64) {
+        self.put(*v);
+    }
+    fn put(&self, v: i64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+}
+
+/// A histogram is several words, so it keeps a lock of its own: one
+/// uncontended lock per observation, never the recorder's.
+struct HistCell(Mutex<Histogram>);
+
+impl HistCell {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Histogram> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl MetricCell for HistCell {
+    type Value = Histogram;
+    fn new(v: Histogram) -> Self {
+        HistCell(Mutex::new(v))
+    }
+    fn load(&self) -> Histogram {
+        self.lock().clone()
+    }
+    fn take(&self) -> Histogram {
+        let mut h = self.lock();
+        let out = h.clone();
+        h.counts.fill(0);
+        h.count = 0;
+        h.sum = 0;
+        h.max = 0;
+        out
+    }
+    fn fold(&self, v: &Histogram) {
+        self.lock().merge(v);
+    }
+    fn put(&self, v: Histogram) {
+        *self.lock() = v;
+    }
+}
+
+/// A registered metric's cell. `live` is set by the first update since
+/// registration (or since the last drain); only live metrics are listed.
+/// It publishes no data — the listing order it gates is changed only
+/// under the family's names lock — so it is read and written `Relaxed`.
+struct Slot<C> {
+    cell: C,
+    live: AtomicBool,
+}
+
+/// Segments of slots: slot `i` lives in segment `log2(i + 1)`, which holds
+/// `2^k` slots and is allocated when its first slot is registered. A slot
+/// never moves, so an update reaches it without a lock.
+const SEGMENTS: usize = 32;
+
+/// One segment: allocated whole, its slots filled as they register.
+type Segment<C> = OnceLock<Box<[OnceLock<Slot<C>>]>>;
+
+/// `(subsystem, name, value)` rows, as snapshots list them.
+type Rows<T> = Vec<(String, String, T)>;
+
+/// Registered names in handle order and the first-update order snapshots
+/// list them in.
+#[derive(Default)]
+struct Names {
+    names: Vec<(String, String)>,
+    order: Vec<u32>,
+}
+
+/// All metrics of one kind. Names are looked up only to register and
+/// absorb; an update goes from its handle straight to the slot and
+/// allocates nothing once the metric is live.
+struct Family<C> {
+    names: Mutex<Names>,
+    segments: [Segment<C>; SEGMENTS],
+}
+
+impl<C: MetricCell> Family<C> {
+    fn new() -> Self {
+        Family {
+            names: Mutex::new(Names::default()),
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    fn locate(index: u32) -> (usize, usize) {
+        let n = u64::from(index) + 1;
+        let k = 63 - n.leading_zeros();
+        (k as usize, (n - (1 << k)) as usize)
+    }
+
+    fn slot(&self, index: u32) -> &Slot<C> {
+        let (k, at) = Self::locate(index);
+        self.segments[k]
+            .get()
+            .and_then(|seg| seg[at].get())
+            .expect("metric handle from this recorder")
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Names> {
+        self.names.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The index of `sub`/`name`, registering it with `init` when absent.
+    fn register(&self, names: &mut Names, sub: &str, name: &str, init: impl FnOnce() -> C) -> u32 {
+        if let Some(i) = names.names.iter().position(|(s, n)| s == sub && n == name) {
+            return u32::try_from(i).expect("fewer than 2^32 metrics");
+        }
+        let index = u32::try_from(names.names.len()).expect("fewer than 2^32 metrics");
+        names.names.push((sub.to_string(), name.to_string()));
+        let (k, at) = Self::locate(index);
+        let seg =
+            self.segments[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        let _ = seg[at].set(Slot { cell: init(), live: AtomicBool::new(false) });
+        index
+    }
+
+    /// Apply `f` to the metric at `index`; its first update lists it.
+    fn update(&self, index: u32, f: impl FnOnce(&C)) {
+        let slot = self.slot(index);
+        f(&slot.cell);
+        if !slot.live.load(Ordering::Relaxed) {
+            let mut names = self.lock();
+            if !slot.live.swap(true, Ordering::Relaxed) {
+                names.order.push(index);
+            }
+        }
+    }
+
+    fn rows(&self) -> Rows<C::Value> {
+        let names = self.lock();
+        names
+            .order
+            .iter()
+            .map(|&i| {
+                let (sub, name) = &names.names[i as usize];
+                (sub.clone(), name.clone(), self.slot(i).cell.load())
+            })
+            .collect()
+    }
+
+    /// Take the live values in snapshot order and empty them. Slots stay
+    /// registered, so handles issued before the drain stay valid.
+    fn drain(&self) -> Rows<C::Value> {
+        let mut names = self.lock();
+        let order = std::mem::take(&mut names.order);
+        order
+            .into_iter()
+            .map(|i| {
+                let slot = self.slot(i);
+                slot.live.store(false, Ordering::Relaxed);
+                let (sub, name) = &names.names[i as usize];
+                (sub.clone(), name.clone(), slot.cell.take())
+            })
+            .collect()
+    }
+
+    /// Fold drained rows in: a live metric folds, any other takes the
+    /// drained value as it is (histogram geometry included).
+    fn absorb(&self, rows: Rows<C::Value>) {
+        let mut names = self.lock();
+        for (sub, name, v) in rows {
+            let index = self.register(&mut names, &sub, &name, || C::new(v.clone()));
+            let slot = self.slot(index);
+            if slot.live.load(Ordering::Relaxed) {
+                slot.cell.fold(&v);
+            } else {
+                slot.cell.put(v);
+                slot.live.store(true, Ordering::Relaxed);
+                names.order.push(index);
+            }
+        }
+    }
+}
+
+/// Recorded events and their bookkeeping — what [`Recorder::absorb`]
+/// moves out of a child wholesale.
 #[derive(Debug, Default)]
-struct State {
+struct Events {
     /// Subsystem names in first-seen order (deterministic registration).
     order: Vec<String>,
     subs: HashMap<String, SubBuf>,
-    metrics: Metrics,
     next_seq: u64,
     /// Total events ever recorded (including ones since dropped).
-    total_events: u64,
-    /// Trace ids minted so far ([`Recorder::mint_trace`]).
-    next_trace_seq: u64,
-    /// Span ids minted so far ([`Recorder::trace_span`]).
-    next_span_seq: u64,
-    /// Child domains allocated so far ([`Recorder::child`]).
-    next_child_domain: u64,
+    total: u64,
 }
 
-#[derive(Debug)]
+/// Source of recorder identities, which tie a metric handle to the
+/// recorder that issued it.
+static NEXT_RECORDER_ID: AtomicU32 = AtomicU32::new(0);
+
 struct Inner {
+    /// Identity stamped into the metric handles this recorder issues.
+    id: u32,
     enabled: bool,
     wall: bool,
     capacity: usize,
@@ -414,14 +670,29 @@ struct Inner {
     /// minted by independent children never collide yet depend only on
     /// construction order, never on scheduling.
     domain: u64,
+    /// FNV-1a state after `domain`: trace ids and child domains are
+    /// `fnv_mix(domain, n)`, finished from here.
+    trace_basis: u64,
+    /// FNV-1a state after `domain ^ SPAN_SALT`, the span-id basis.
+    span_basis: u64,
     /// Subsystem-name namespace: every recorded subsystem is stored as
     /// `"<ns>/<sub>"` when non-empty ([`Recorder::child_named`]), so a
     /// fleet of shard recorders absorbs into one snapshot without name
-    /// collisions. Names are fully qualified at record time; absorbing
-    /// never re-prefixes.
+    /// collisions. Names are fully qualified when an event is recorded
+    /// or a metric is registered; absorbing never re-prefixes.
     ns: String,
     epoch: Instant,
-    state: Mutex<State>,
+    /// Trace ids minted so far ([`Recorder::mint_trace`]).
+    trace_seq: AtomicU64,
+    /// Span ids minted so far ([`Recorder::trace_span`]); advanced only
+    /// while the events lock is held, so span-id order is event order.
+    span_seq: AtomicU64,
+    /// Child domains allocated so far ([`Recorder::child`]).
+    child_seq: AtomicU64,
+    events: Mutex<Events>,
+    counters: Family<CounterCell>,
+    gauges: Family<GaugeCell>,
+    hists: Family<HistCell>,
 }
 
 /// The flight recorder. Cheap to clone (`Arc` inside); clones share the
@@ -453,13 +724,22 @@ impl Recorder {
     fn build(enabled: bool, wall: bool, capacity: usize, domain: u64, ns: String) -> Self {
         Recorder {
             inner: Arc::new(Inner {
+                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 enabled,
                 wall,
                 capacity,
                 domain,
+                trace_basis: fnv_word(FNV_BASIS, domain),
+                span_basis: fnv_word(FNV_BASIS, domain ^ SPAN_SALT),
                 ns,
                 epoch: Instant::now(),
-                state: Mutex::new(State::default()),
+                trace_seq: AtomicU64::new(0),
+                span_seq: AtomicU64::new(0),
+                child_seq: AtomicU64::new(0),
+                events: Mutex::new(Events::default()),
+                counters: Family::new(),
+                gauges: Family::new(),
+                hists: Family::new(),
             }),
         }
     }
@@ -481,6 +761,7 @@ impl Recorder {
     }
 
     /// Same configuration, different ring capacity (events per subsystem).
+    /// The result is a new recorder: register metrics on it, not before.
     #[must_use]
     pub fn with_capacity(self, capacity: usize) -> Self {
         Recorder::build(
@@ -493,14 +774,17 @@ impl Recorder {
     }
 
     /// The subsystem name as this recorder stores it: prefixed with the
-    /// namespace when one is set, borrowed untouched otherwise (the hot
-    /// path of un-namespaced recorders allocates nothing here).
+    /// namespace when one is set, borrowed untouched otherwise.
     fn scoped<'a>(&self, sub: &'a str) -> std::borrow::Cow<'a, str> {
         if self.inner.ns.is_empty() {
             std::borrow::Cow::Borrowed(sub)
         } else {
             std::borrow::Cow::Owned(format!("{}/{sub}", self.inner.ns))
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Events> {
+        self.inner.events.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Whether recording calls store anything.
@@ -532,9 +816,10 @@ impl Recorder {
     /// if any) — the fleet pattern: give each shard
     /// `fleet_obs.child_named("shard3")`, let its engine record plain
     /// `"serve"` metrics, and absorb every shard into one snapshot whose
-    /// `shard3/serve` entries never collide. Namespacing happens at
-    /// record time, so absorbing is the same in-input-order merge as for
-    /// unnamed children.
+    /// `shard3/serve` entries never collide. Event subsystems are
+    /// prefixed when recorded and metric subsystems when registered, so
+    /// absorbing is the same in-input-order merge as for unnamed
+    /// children.
     pub fn child_named(&self, name: &str) -> Recorder {
         let ns = if self.inner.ns.is_empty() {
             name.to_string()
@@ -548,12 +833,8 @@ impl Recorder {
         if !self.inner.enabled {
             return Recorder::build(false, false, self.inner.capacity, 0, String::new());
         }
-        let n = {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.next_child_domain += 1;
-            st.next_child_domain
-        };
-        let domain = fnv_mix(self.inner.domain, n);
+        let n = self.inner.child_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let domain = fnv_word(self.inner.trace_basis, n).max(1);
         Recorder::build(self.inner.enabled, self.inner.wall, self.inner.capacity, domain, ns)
     }
 
@@ -562,13 +843,13 @@ impl Recorder {
     /// mint of the k-th child is a pure function of (k, n) — stable under
     /// [`Recorder::child`]/[`Recorder::absorb`] and therefore identical at
     /// any worker count. A disabled recorder mints the untraced context.
+    /// Lock-free: the sequence is an atomic beside the recorder state.
     pub fn mint_trace(&self) -> TraceCtx {
         if !self.inner.enabled {
             return TraceCtx::untraced();
         }
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.next_trace_seq += 1;
-        TraceCtx { trace_id: fnv_mix(self.inner.domain, st.next_trace_seq), parent_span: 0 }
+        let n = self.inner.trace_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        TraceCtx { trace_id: fnv_word(self.inner.trace_basis, n).max(1), parent_span: 0 }
     }
 
     /// Start a wall-clock measurement for a later [`Recorder::span`].
@@ -598,10 +879,10 @@ impl Recorder {
     /// the event's trace link) so span-id order always matches event
     /// order. Returns the allocated span id (`0` otherwise).
     fn push_alloc(&self, sub: &str, mut ev: Event, alloc_span: bool) -> u64 {
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut evs = self.lock();
         let span_id = if alloc_span {
-            st.next_span_seq += 1;
-            let id = fnv_mix(self.inner.domain ^ SPAN_SALT, st.next_span_seq);
+            let n = self.inner.span_seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let id = fnv_word(self.inner.span_basis, n).max(1);
             if let Some(link) = ev.trace.as_mut() {
                 link.span_id = id;
             }
@@ -609,15 +890,15 @@ impl Recorder {
         } else {
             0
         };
-        ev.seq = st.next_seq;
-        st.next_seq += 1;
-        st.total_events += 1;
-        if !st.subs.contains_key(sub) {
-            st.order.push(sub.to_string());
-            st.subs.insert(sub.to_string(), SubBuf::default());
+        ev.seq = evs.next_seq;
+        evs.next_seq += 1;
+        evs.total += 1;
+        if !evs.subs.contains_key(sub) {
+            evs.order.push(sub.to_string());
+            evs.subs.insert(sub.to_string(), SubBuf::default());
         }
         let cap = self.inner.capacity;
-        let buf = st.subs.get_mut(sub).expect("just inserted");
+        let buf = evs.subs.get_mut(sub).expect("just inserted");
         if buf.events.len() >= cap {
             buf.events.pop_front();
             buf.dropped += 1;
@@ -798,84 +1079,99 @@ impl Recorder {
         );
     }
 
-    /// Add `delta` to a counter, registering it on first touch.
-    pub fn counter_add(&self, sub: &str, name: &str, delta: u64) {
+    /// Register `sub`/`name` in `family` (or find it) and return its id.
+    /// Off the hot path: it qualifies the name with the namespace and
+    /// searches the family by name.
+    fn register<C: MetricCell>(
+        &self,
+        family: &Family<C>,
+        sub: &str,
+        name: &str,
+        init: impl FnOnce() -> C,
+    ) -> MetricId {
+        let index = if self.inner.enabled {
+            family.register(&mut family.lock(), &self.scoped(sub), name, init)
+        } else {
+            u32::MAX
+        };
+        MetricId { owner: self.inner.id, index }
+    }
+
+    /// The slot index behind a handle, checked (in debug builds) to come
+    /// from this recorder or a clone of it.
+    fn index(&self, id: MetricId) -> u32 {
+        debug_assert_eq!(
+            id.owner, self.inner.id,
+            "metric handle used on a recorder that did not issue it"
+        );
+        id.index
+    }
+
+    /// Register the counter `sub`/`name` (namespaced like events on a
+    /// [`child_named`](Recorder::child_named) recorder) and return its
+    /// handle. Registering an existing name returns the same handle. A
+    /// metric appears in snapshots from its first update on, in
+    /// first-update order.
+    pub fn counter(&self, sub: &str, name: &str) -> Counter {
+        Counter(self.register(&self.inner.counters, sub, name, || CounterCell::new(0)))
+    }
+
+    /// Register the gauge `sub`/`name`; see [`Recorder::counter`].
+    pub fn gauge(&self, sub: &str, name: &str) -> Gauge {
+        Gauge(self.register(&self.inner.gauges, sub, name, || GaugeCell::new(0)))
+    }
+
+    /// Register the fixed-bucket histogram `sub`/`name` over ascending
+    /// upper `bounds`; see [`Recorder::counter`]. The bounds of the first
+    /// registration stand.
+    pub fn histogram(&self, sub: &str, name: &str, bounds: &[u64]) -> Hist {
+        Hist(self.register(&self.inner.hists, sub, name, || HistCell::new(Histogram::new(bounds))))
+    }
+
+    /// Add `delta` to a registered counter. Lock-free.
+    pub fn counter_add(&self, c: Counter, delta: u64) {
         if !self.inner.enabled {
             return;
         }
-        let sub = self.scoped(sub);
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let m = &mut st.metrics;
-        m.fill_key(&sub, name);
-        match m.counter_idx.get(&m.scratch) {
-            Some(&i) => m.counters[i].2 += delta,
-            None => {
-                let key = m.scratch.clone();
-                m.counter_idx.insert(key, m.counters.len());
-                m.counters.push((sub.into_owned(), name.to_string(), delta));
-            }
-        }
+        self.inner.counters.update(self.index(c.0), |cell| cell.fold(&delta));
     }
 
-    /// Set a gauge to `v`, registering it on first touch.
-    pub fn gauge_set(&self, sub: &str, name: &str, v: i64) {
+    /// Set a registered gauge to `v`. Lock-free.
+    pub fn gauge_set(&self, g: Gauge, v: i64) {
         if !self.inner.enabled {
             return;
         }
-        let sub = self.scoped(sub);
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let m = &mut st.metrics;
-        m.fill_key(&sub, name);
-        match m.gauge_idx.get(&m.scratch) {
-            Some(&i) => m.gauges[i].2 = v,
-            None => {
-                let key = m.scratch.clone();
-                m.gauge_idx.insert(key, m.gauges.len());
-                m.gauges.push((sub.into_owned(), name.to_string(), v));
-            }
-        }
+        self.inner.gauges.update(self.index(g.0), |cell| cell.put(v));
     }
 
-    /// Observe `v` in a fixed-bucket histogram (bounds fixed at first
-    /// touch), registering it on first touch.
-    pub fn observe(&self, sub: &str, name: &str, bounds: &[u64], v: u64) {
+    /// Observe `v` in a registered histogram (under the histogram's own
+    /// lock).
+    pub fn observe(&self, h: Hist, v: u64) {
         if !self.inner.enabled {
             return;
         }
-        let sub = self.scoped(sub);
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let m = &mut st.metrics;
-        m.fill_key(&sub, name);
-        match m.hist_idx.get(&m.scratch) {
-            Some(&i) => m.hists[i].2.observe(v),
-            None => {
-                let mut h = Histogram::new(bounds);
-                h.observe(v);
-                let key = m.scratch.clone();
-                m.hist_idx.insert(key, m.hists.len());
-                m.hists.push((sub.into_owned(), name.to_string(), h));
-            }
-        }
+        self.inner.hists.update(self.index(h.0), |cell| cell.lock().observe(v));
     }
 
-    /// Merge a child's state into this recorder, draining the child.
-    /// Events append in the child's order (re-sequenced); counters and
-    /// histograms add; gauges take the child's latest value. Calling
-    /// `absorb` on children **in input order** keeps the merged stream
-    /// deterministic regardless of how the children ran.
+    /// Merge a child's state into this recorder, draining the child's
+    /// events and metric values. Events append in the child's order
+    /// (re-sequenced); counters and histograms add; gauges take the
+    /// child's latest value. Calling `absorb` on children **in input
+    /// order** keeps the merged stream deterministic regardless of how
+    /// the children ran. The child keeps its id sequences and its
+    /// registered metrics: it can go on recording through the handles it
+    /// issued, and what it mints next never repeats an id it minted
+    /// before.
     pub fn absorb(&self, child: &Recorder) {
         if !self.inner.enabled || !child.inner.enabled {
             return;
         }
-        let mut taken = {
-            let mut cst = child.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *cst)
-        };
+        let mut events = std::mem::take(&mut *child.lock());
         // gather the child's events in global seq order so interleavings
         // across its subsystems are preserved
         let mut all: Vec<(String, Event)> = Vec::new();
-        for sub in &taken.order {
-            if let Some(buf) = taken.subs.get_mut(sub) {
+        for sub in &events.order {
+            if let Some(buf) = events.subs.get_mut(sub) {
                 for ev in buf.events.drain(..) {
                     all.push((sub.clone(), ev));
                 }
@@ -887,79 +1183,41 @@ impl Recorder {
         }
         // carry dropped counts across the merge
         {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            for sub in &taken.order {
-                let dropped = taken.subs.get(sub).map_or(0, |b| b.dropped);
+            let mut evs = self.lock();
+            for sub in &events.order {
+                let dropped = events.subs.get(sub).map_or(0, |b| b.dropped);
                 if dropped > 0 {
-                    if !st.subs.contains_key(sub) {
-                        st.order.push(sub.clone());
-                        st.subs.insert(sub.clone(), SubBuf::default());
+                    if !evs.subs.contains_key(sub) {
+                        evs.order.push(sub.clone());
+                        evs.subs.insert(sub.clone(), SubBuf::default());
                     }
-                    st.subs.get_mut(sub).expect("present").dropped += dropped;
+                    evs.subs.get_mut(sub).expect("present").dropped += dropped;
                 }
             }
         }
-        // metric names were fully qualified when the child recorded them
-        // (child_named prefixes at record time), so the merge is raw —
-        // never re-scoped through this recorder's own namespace
-        {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            let m = &mut st.metrics;
-            for (sub, name, v) in &taken.metrics.counters {
-                m.fill_key(sub, name);
-                match m.counter_idx.get(&m.scratch) {
-                    Some(&i) => m.counters[i].2 += v,
-                    None => {
-                        let key = m.scratch.clone();
-                        m.counter_idx.insert(key, m.counters.len());
-                        m.counters.push((sub.clone(), name.clone(), *v));
-                    }
-                }
-            }
-            for (sub, name, v) in &taken.metrics.gauges {
-                m.fill_key(sub, name);
-                match m.gauge_idx.get(&m.scratch) {
-                    Some(&i) => m.gauges[i].2 = *v,
-                    None => {
-                        let key = m.scratch.clone();
-                        m.gauge_idx.insert(key, m.gauges.len());
-                        m.gauges.push((sub.clone(), name.clone(), *v));
-                    }
-                }
-            }
-            for (sub, name, h) in &taken.metrics.hists {
-                m.fill_key(sub, name);
-                match m.hist_idx.get(&m.scratch) {
-                    Some(&i) => m.hists[i].2.merge(h),
-                    None => {
-                        let key = m.scratch.clone();
-                        m.hist_idx.insert(key, m.hists.len());
-                        m.hists.push((sub.clone(), name.clone(), h.clone()));
-                    }
-                }
-            }
-        }
+        // metric names were fully qualified when the child registered
+        // them, so the merge is raw — never re-scoped through this
+        // recorder's own namespace
+        self.inner.counters.absorb(child.inner.counters.drain());
+        self.inner.gauges.absorb(child.inner.gauges.drain());
+        self.inner.hists.absorb(child.inner.hists.drain());
     }
 
     /// Total events ever recorded (including ones dropped from rings).
     pub fn event_count(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .total_events
+        self.lock().total
     }
 
     /// A consistent copy of everything recorded so far, ordered
     /// deterministically (subsystems in first-seen order, events in ring
-    /// order, metrics in registration order).
+    /// order, metrics in first-update order).
     pub fn snapshot(&self) -> Snapshot {
-        let st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let subsystems = st
+        let evs = self.lock();
+        let subsystems = evs
             .order
             .iter()
             .map(|name| {
-                let buf = &st.subs[name];
+                let buf = &evs.subs[name];
                 SubsystemSnapshot {
                     name: name.clone(),
                     dropped: buf.dropped,
@@ -969,9 +1227,9 @@ impl Recorder {
             .collect();
         Snapshot {
             subsystems,
-            counters: st.metrics.counters.clone(),
-            gauges: st.metrics.gauges.clone(),
-            histograms: st.metrics.hists.clone(),
+            counters: self.inner.counters.rows(),
+            gauges: self.inner.gauges.rows(),
+            histograms: self.inner.hists.rows(),
         }
     }
 }
@@ -992,11 +1250,11 @@ pub struct SubsystemSnapshot {
 pub struct Snapshot {
     /// Subsystems in first-seen order.
     pub subsystems: Vec<SubsystemSnapshot>,
-    /// Counters `(subsystem, name, value)` in registration order.
+    /// Counters `(subsystem, name, value)` in first-update order.
     pub counters: Vec<(String, String, u64)>,
-    /// Gauges `(subsystem, name, value)` in registration order.
+    /// Gauges `(subsystem, name, value)` in first-update order.
     pub gauges: Vec<(String, String, i64)>,
-    /// Histograms `(subsystem, name, histogram)` in registration order.
+    /// Histograms `(subsystem, name, histogram)` in first-update order.
     pub histograms: Vec<(String, String, Histogram)>,
 }
 
@@ -1006,7 +1264,7 @@ impl Snapshot {
         self.subsystems.iter().map(|s| s.events.len()).sum()
     }
 
-    /// Total registered metrics (counters + gauges + histograms).
+    /// Total metrics listed (counters + gauges + histograms).
     pub fn metric_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
@@ -1028,7 +1286,10 @@ mod tests {
         let r = Recorder::disabled();
         r.span("s", "x", ClockDomain::Seq, 0, 1, &[], r.mark());
         r.instant("s", "y", ClockDomain::Seq, 1, &[]);
-        r.counter_add("s", "c", 5);
+        let c = r.counter("s", "c");
+        r.counter_add(c, 5);
+        r.gauge_set(r.gauge("s", "g"), 1);
+        r.observe(r.histogram("s", "h", &[10]), 1);
         assert_eq!(r.event_count(), 0);
         assert_eq!(r.snapshot().metric_count(), 0);
         assert!(!r.enabled());
@@ -1065,15 +1326,25 @@ mod tests {
     #[test]
     fn metrics_register_in_first_touch_order() {
         let r = Recorder::new();
-        r.counter_add("x", "b", 1);
-        r.counter_add("x", "a", 2);
-        r.counter_add("x", "b", 3);
-        r.gauge_set("x", "g", -7);
-        r.gauge_set("x", "g", 9);
-        r.observe("x", "h", &[10, 100], 5);
-        r.observe("x", "h", &[10, 100], 50);
-        r.observe("x", "h", &[10, 100], 5000);
+        // registration order is a, b; first-update order is b, a
+        let a = r.counter("x", "a");
+        let b = r.counter("x", "b");
+        let g = r.gauge("x", "g");
+        let h = r.histogram("x", "h", &[10, 100]);
+        let unused = r.counter("x", "never");
+        assert_eq!(r.snapshot().metric_count(), 0, "registration alone lists nothing");
+        r.counter_add(b, 1);
+        r.counter_add(a, 2);
+        r.counter_add(b, 3);
+        r.gauge_set(g, -7);
+        r.gauge_set(g, 9);
+        r.observe(h, 5);
+        r.observe(h, 50);
+        r.observe(h, 5000);
+        assert_eq!(r.counter("x", "b"), b, "re-registering returns the same handle");
+        assert_ne!(unused, a);
         let s = r.snapshot();
+        assert_eq!(s.counters.len(), 2);
         assert_eq!(s.counters[0].1, "b");
         assert_eq!(s.counters[0].2, 4);
         assert_eq!(s.counters[1].1, "a");
@@ -1092,8 +1363,8 @@ mod tests {
         // children record "concurrently"; merge order decides the stream
         c2.instant("s", "from-c2", ClockDomain::Seq, 0, &[]);
         c1.instant("s", "from-c1", ClockDomain::Seq, 0, &[]);
-        c1.counter_add("s", "n", 1);
-        c2.counter_add("s", "n", 10);
+        c1.counter_add(c1.counter("s", "n"), 1);
+        c2.counter_add(c2.counter("s", "n"), 10);
         parent.absorb(&c1);
         parent.absorb(&c2);
         let s = parent.snapshot();
@@ -1361,9 +1632,9 @@ mod tests {
         let s0 = fleet.child_named("shard0");
         let s1 = fleet.child_named("shard1");
         s0.instant("serve", "arrive", ClockDomain::Cpu, 1, &[]);
-        s0.counter_add("serve", "served", 5);
-        s0.observe("serve", "latency", &[10, 100], 42);
-        s1.counter_add("serve", "served", 7);
+        s0.counter_add(s0.counter("serve", "served"), 5);
+        s0.observe(s0.histogram("serve", "latency", &[10, 100]), 42);
+        s1.counter_add(s1.counter("serve", "served"), 7);
         // absorb order is the deterministic merge order
         fleet.absorb(&s0);
         fleet.absorb(&s1);
@@ -1382,7 +1653,7 @@ mod tests {
         assert_eq!(snap.histograms[0].0, "shard0/serve");
         // nesting composes namespaces
         let nested = s1.child_named("pool");
-        nested.counter_add("slots", "busy", 1);
+        nested.counter_add(nested.counter("slots", "busy"), 1);
         fleet.absorb(&nested);
         let snap = fleet.snapshot();
         assert!(snap
@@ -1391,7 +1662,7 @@ mod tests {
             .any(|(s, n, _)| s == "shard1/pool/slots" && n == "busy"));
         // a plain child of a named child inherits the namespace
         let sibling = s0.child();
-        sibling.counter_add("serve", "served", 1);
+        sibling.counter_add(sibling.counter("serve", "served"), 1);
         fleet.absorb(&sibling);
         let snap = fleet.snapshot();
         let served0: u64 = snap
@@ -1416,8 +1687,8 @@ mod tests {
                 let s = &shards[i];
                 let ctx = s.mint_trace();
                 s.trace_instant("serve", "arrive", ClockDomain::Cpu, i as u64, &[], ctx);
-                s.counter_add("serve", "served", i as u64 + 1);
-                s.observe("serve", "latency", &[10, 100], 7 * (i as u64 + 1));
+                s.counter_add(s.counter("serve", "served"), i as u64 + 1);
+                s.observe(s.histogram("serve", "latency", &[10, 100]), 7 * (i as u64 + 1));
             };
             if flip {
                 for i in (0..4).rev() {

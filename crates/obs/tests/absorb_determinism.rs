@@ -65,7 +65,7 @@ fn record_unit(rec: &Recorder, unit: usize, step: u64) {
         WallMark::none(),
         ctx.child(root),
     );
-    rec.counter_add(sub, "units", 1);
+    rec.counter_add(rec.counter(sub, "units"), 1);
 }
 
 /// Run the whole scenario: a parent with `n` children, one of which has
@@ -158,4 +158,36 @@ fn nested_absorb_preserves_event_order_and_ids() {
     let g2_ev = &snap.subsystems[0].events[4];
     assert_eq!(g2_ev.trace.unwrap().trace_id, t_g2.trace_id);
     assert_ne!(t_g2.trace_id, t_parent.trace_id);
+}
+
+#[test]
+fn absorb_keeps_the_childs_id_sequences_and_handles() {
+    // a child that goes on recording after being absorbed must never
+    // reissue a trace id, span id or child domain it handed out before
+    let parent = Recorder::new();
+    let child = parent.child();
+    let served = child.counter("s", "served");
+    let before = child.mint_trace();
+    let span_before =
+        child.trace_span("s", "a", ClockDomain::Seq, 0, 1, &[], WallMark::none(), before);
+    let grand_before = child.child().mint_trace();
+    child.counter_add(served, 2);
+    parent.absorb(&child);
+    assert_eq!(child.snapshot().metric_count(), 0, "metric values drained");
+    assert_eq!(child.event_count(), 0, "events drained");
+
+    let after = child.mint_trace();
+    let span_after =
+        child.trace_span("s", "b", ClockDomain::Seq, 1, 1, &[], WallMark::none(), after);
+    let grand_after = child.child().mint_trace();
+    assert_ne!(after.trace_id, before.trace_id, "trace id reissued after absorb");
+    assert_ne!(span_after, span_before, "span id reissued after absorb");
+    assert_ne!(grand_after.trace_id, grand_before.trace_id, "child domain reissued after absorb");
+
+    // the handle issued before the absorb still records, and a second
+    // absorb adds to the parent's total
+    child.counter_add(served, 3);
+    assert_eq!(child.snapshot().counters, vec![("s".to_string(), "served".to_string(), 3)]);
+    parent.absorb(&child);
+    assert_eq!(parent.snapshot().counters, vec![("s".to_string(), "served".to_string(), 5)]);
 }

@@ -171,6 +171,9 @@ pub struct Simulator<'n> {
     /// Reusable per-step buffer of `(register index, next value)` for the
     /// sampled registers whose value changes; empty between steps.
     reg_commits: Vec<(u32, u64)>,
+    /// Reusable per-step buffer of `(net, value)` for the RAM read ports
+    /// whose output changes; empty between steps.
+    ram_drives: Vec<(u32, u64)>,
     /// Total registers sampled across all clock edges.
     reg_samples: u64,
     cycle: u64,
@@ -222,6 +225,7 @@ impl Clone for Simulator<'_> {
             reg_fanout: self.reg_fanout.clone(),
             reg_pending: self.reg_pending.clone(),
             reg_commits: self.reg_commits.clone(),
+            ram_drives: self.ram_drives.clone(),
             reg_samples: self.reg_samples,
             cycle: self.cycle,
             settle_passes: self.settle_passes,
@@ -542,6 +546,7 @@ impl<'n> Simulator<'n> {
             reg_fanout,
             reg_pending,
             reg_commits: Vec::new(),
+            ram_drives: Vec::new(),
             reg_samples: 0,
             cycle: 0,
             settle_passes: 0,
@@ -967,18 +972,26 @@ impl<'n> Simulator<'n> {
     /// ops; `settle_ops_full` is the full-evaluation baseline, so the
     /// activity factor is their quotient.
     pub fn obs_export(&self, obs: &hermes_obs::Recorder, sub: &str) {
-        obs.counter_add(sub, "cycles", self.cycle);
-        obs.counter_add(sub, "settle_passes", self.settle_passes);
-        obs.counter_add(sub, "settle_ops", self.settle_ops);
-        obs.counter_add(sub, "settle_ops_full", self.settle_passes * self.program_weight);
-        obs.counter_add(sub, "settle_parallel_ops", self.settle_parallel_ops);
-        obs.counter_add(sub, "settle_parallel_passes", self.settle_parallel_passes);
-        obs.gauge_set(sub, "settle_program_len", self.program_weight as i64);
-        obs.gauge_set(sub, "settle_partitions", self.parts.len() as i64);
-        obs.gauge_set(sub, "settle_packed_words", self.packed.len() as i64);
-        obs.gauge_set(sub, "settle_packed_lanes", self.packed_lanes as i64);
-        obs.gauge_set(sub, "settle_lane_occupancy", self.lane_occupancy_permille() as i64);
-        obs.gauge_set(sub, "nets", self.netlist.net_count() as i64);
+        for (name, v) in [
+            ("cycles", self.cycle),
+            ("settle_passes", self.settle_passes),
+            ("settle_ops", self.settle_ops),
+            ("settle_ops_full", self.settle_passes * self.program_weight),
+            ("settle_parallel_ops", self.settle_parallel_ops),
+            ("settle_parallel_passes", self.settle_parallel_passes),
+        ] {
+            obs.counter_add(obs.counter(sub, name), v);
+        }
+        for (name, v) in [
+            ("settle_program_len", self.program_weight as i64),
+            ("settle_partitions", self.parts.len() as i64),
+            ("settle_packed_words", self.packed.len() as i64),
+            ("settle_packed_lanes", self.packed_lanes as i64),
+            ("settle_lane_occupancy", self.lane_occupancy_permille() as i64),
+            ("nets", self.netlist.net_count() as i64),
+        ] {
+            obs.gauge_set(obs.gauge(sub, name), v);
+        }
         obs.instant(
             sub,
             "sim-state",
@@ -1081,22 +1094,12 @@ impl<'n> Simulator<'n> {
                 }
             }
         }
-        // Phase 2: commit, seeding the event worklist (and the next edge's
-        // pending set) from every register output that changed. A
-        // register's output net always holds its state between steps, so
-        // an unchanged state needs no store.
-        for k in 0..self.reg_commits.len() {
-            let (i, q) = self.reg_commits[k];
-            let r = self.regs[i as usize];
-            self.reg_state[r.slot as usize] = q;
-            self.values[r.q as usize].store(q, Ordering::Relaxed);
-            self.mark_net(r.q);
-        }
-        self.reg_commits.clear();
-        // RAMs: ports sample `values`, which no commit above touches, and
-        // each memory is private to its cell — so read-first reads, the
-        // write commit, and the output drive can be fused per RAM. Output
-        // changes seed the worklist like register outputs.
+        // RAMs sample their ports from the same settled values, before
+        // any register commit or RAM output below changes them. Each
+        // memory is private to its cell, so the read-first reads and the
+        // write commit fuse per RAM; read data that changes is driven
+        // only once every RAM has sampled, so a RAM output feeding
+        // another RAM's port is simultaneous too.
         for i in 0..self.rams.len() {
             let r = self.rams[i];
             let depth = r.depth as usize;
@@ -1116,15 +1119,30 @@ impl<'n> Simulator<'n> {
             if we_b {
                 mem[addr_b] = wd_b & r.mask;
             }
-            if self.values[r.ra as usize].load(Ordering::Relaxed) != ra {
-                self.values[r.ra as usize].store(ra, Ordering::Relaxed);
-                self.mark_net(r.ra);
-            }
-            if self.values[r.rb as usize].load(Ordering::Relaxed) != rb {
-                self.values[r.rb as usize].store(rb, Ordering::Relaxed);
-                self.mark_net(r.rb);
+            for (net, v) in [(r.ra, ra), (r.rb, rb)] {
+                if self.values[net as usize].load(Ordering::Relaxed) != v {
+                    self.ram_drives.push((net, v));
+                }
             }
         }
+        // Phase 2: commit, seeding the event worklist (and the next edge's
+        // pending set) from every register and RAM output that changed. A
+        // register's output net always holds its state between steps, so
+        // an unchanged state needs no store.
+        for k in 0..self.reg_commits.len() {
+            let (i, q) = self.reg_commits[k];
+            let r = self.regs[i as usize];
+            self.reg_state[r.slot as usize] = q;
+            self.values[r.q as usize].store(q, Ordering::Relaxed);
+            self.mark_net(r.q);
+        }
+        self.reg_commits.clear();
+        for k in 0..self.ram_drives.len() {
+            let (net, v) = self.ram_drives[k];
+            self.values[net as usize].store(v, Ordering::Relaxed);
+            self.mark_net(net);
+        }
+        self.ram_drives.clear();
         self.settle();
         self.cycle += 1;
         if let Some(trace) = &mut self.trace {
@@ -1891,6 +1909,70 @@ mod tests {
         sim.poke("we_a", 0).unwrap();
         sim.step().unwrap();
         assert_eq!(sim.peek("rdata_a").unwrap(), 99);
+    }
+
+    #[test]
+    fn ram_ports_sample_with_the_registers() {
+        // a register drives RAM `a`'s address and RAM `a`'s read data
+        // drives RAM `b`'s address: every port samples the values settled
+        // before the edge, never an output the same edge commits
+        let mut nl = Netlist::new("ram_edge");
+        let d = nl.add_input("d", 4);
+        let addr = nl.add_net("addr", 4);
+        nl.add_cell(
+            "r",
+            CellOp::Register {
+                has_enable: false,
+                has_reset: true,
+            },
+            &[d],
+            &[addr],
+        )
+        .unwrap();
+        let zero = nl.add_net("zero", 8);
+        let zero1 = nl.add_net("zero1", 1);
+        nl.add_cell("c0", CellOp::Const { value: 0 }, &[], &[zero]).unwrap();
+        nl.add_cell("c1", CellOp::Const { value: 0 }, &[], &[zero1]).unwrap();
+        let ra = nl.add_net("rdata_a", 8);
+        let ra_b = nl.add_net("rdata_a_b", 8);
+        nl.add_cell(
+            "a",
+            CellOp::RamTdp {
+                depth: 16,
+                init: (10..26).collect(),
+            },
+            &[addr, zero, zero1, zero, zero, zero1],
+            &[ra, ra_b],
+        )
+        .unwrap();
+        let rb = nl.add_net("rdata_b", 8);
+        let rb_b = nl.add_net("rdata_b_b", 8);
+        nl.add_cell(
+            "b",
+            CellOp::RamTdp {
+                depth: 32,
+                init: (100..132).collect(),
+            },
+            &[ra, zero, zero1, zero, zero, zero1],
+            &[rb, rb_b],
+        )
+        .unwrap();
+        nl.mark_output(ra);
+        nl.mark_output(rb);
+        for event_driven in [true, false] {
+            let mut sim = Simulator::new(&nl).unwrap();
+            sim.set_event_driven(event_driven);
+            sim.poke("d", 5).unwrap();
+            sim.step().unwrap();
+            assert_eq!(sim.peek("addr").unwrap(), 5);
+            assert_eq!(sim.peek("rdata_a").unwrap(), 10, "a read the pre-edge address 0");
+            assert_eq!(sim.peek("rdata_b").unwrap(), 100, "b read the pre-edge rdata_a 0");
+            sim.step().unwrap();
+            assert_eq!(sim.peek("rdata_a").unwrap(), 15);
+            assert_eq!(sim.peek("rdata_b").unwrap(), 110);
+            sim.step().unwrap();
+            assert_eq!(sim.peek("rdata_b").unwrap(), 115);
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::{fnv1a_words, Tick};
 use hermes_chaos::plan::{FaultKind, FaultPlan};
 use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
 use hermes_obs::slo::{RequestOutcome, SloEngine};
-use hermes_obs::{ClockDomain, Histogram, Recorder, TraceCtx, WallMark};
+use hermes_obs::{ClockDomain, Gauge, Hist, Histogram, Recorder, TraceCtx, WallMark};
 use std::collections::HashMap;
 
 /// Batch-size histogram bounds (items).
@@ -281,6 +281,27 @@ impl ServeDomains {
     }
 }
 
+/// Handles of the serve metrics recorded every step, batch and served
+/// request, registered on the attached recorder.
+struct ServeMetrics {
+    queue_depth: Gauge,
+    batch_size: Hist,
+    /// `latency_class<i>`, one per priority class.
+    latency: Vec<Hist>,
+}
+
+impl ServeMetrics {
+    fn register(obs: &Recorder, classes: usize) -> Self {
+        ServeMetrics {
+            queue_depth: obs.gauge("serve", "queue_depth"),
+            batch_size: obs.histogram("serve", "batch_size", &BATCH_BOUNDS),
+            latency: (0..classes)
+                .map(|c| obs.histogram("serve", &format!("latency_class{c}"), &LATENCY_BOUNDS))
+                .collect(),
+        }
+    }
+}
+
 /// The deadline-aware serving engine.
 pub struct ServeEngine {
     cfg: ServeConfig,
@@ -298,6 +319,7 @@ pub struct ServeEngine {
     pool: Pool,
     plan: Option<FaultPlan>,
     obs: Recorder,
+    metrics: ServeMetrics,
     slo: Option<SloEngine>,
     /// Trace contexts of in-flight *sampled* requests, keyed by request
     /// id. Contexts are minted for every arrival (identity is sampling-
@@ -344,11 +366,14 @@ impl ServeEngine {
     pub fn new(cfg: ServeConfig, model: AcceleratorModel, mut arrivals: Vec<Request>) -> Self {
         arrivals.sort_by_key(|r| (r.arrival, r.id));
         let classes = cfg.classes.max(1);
+        let obs = Recorder::disabled();
+        let metrics = ServeMetrics::register(&obs, classes);
         ServeEngine {
             backlog: Backlog::new(classes, cfg.queue_depth, cfg.tenant_quota),
             pool: Pool::new(cfg.instances),
             plan: None,
-            obs: Recorder::disabled(),
+            obs,
+            metrics,
             slo: None,
             traces: HashMap::new(),
             now: 0,
@@ -401,7 +426,7 @@ impl ServeEngine {
     /// serve metrics and chaos instants during the run.
     #[must_use]
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
+        self.set_recorder(obs);
         self
     }
 
@@ -449,6 +474,7 @@ impl ServeEngine {
     /// Replace the recorder in place (the fleet re-wires shard recorders
     /// when a recorder is attached after the shards were spawned).
     pub fn set_recorder(&mut self, obs: Recorder) {
+        self.metrics = ServeMetrics::register(&obs, self.class_latency.len());
         self.obs = obs;
     }
 
@@ -684,8 +710,7 @@ impl ServeEngine {
         }
 
         self.dispatch();
-        self.obs
-            .gauge_set("serve", "queue_depth", self.backlog.len() as i64);
+        self.obs.gauge_set(self.metrics.queue_depth, self.backlog.len() as i64);
     }
 
     /// The admission phase for one request: count it offered, mint its
@@ -775,8 +800,7 @@ impl ServeEngine {
                 let finish = now + self.model.service_cycles(requests.len());
                 self.batches += 1;
                 self.batch_items += requests.len() as u64;
-                self.obs
-                    .observe("serve", "batch_size", &BATCH_BOUNDS, requests.len() as u64);
+                self.obs.observe(self.metrics.batch_size, requests.len() as u64);
                 for req in &requests {
                     if let Some(&ctx) = self.traces.get(&req.id) {
                         // instance only: id and batch size ride on the
@@ -848,19 +872,7 @@ impl ServeEngine {
                 let class = self.class_of(req);
                 self.class_served[class] += 1;
                 self.class_latency[class].observe(latency);
-                // static names for the common class counts: one histogram
-                // observe per served request must not allocate
-                const CLASS_HIST: [&str; 4] =
-                    ["latency_class0", "latency_class1", "latency_class2", "latency_class3"];
-                match CLASS_HIST.get(class) {
-                    Some(name) => self.obs.observe("serve", name, &LATENCY_BOUNDS, latency),
-                    None => self.obs.observe(
-                        "serve",
-                        &format!("latency_class{class}"),
-                        &LATENCY_BOUNDS,
-                        latency,
-                    ),
-                }
+                self.obs.observe(self.metrics.latency[class], latency);
                 self.checksum = fnv1a_words(self.checksum, out);
                 self.trace_request_path(req, &batch, k, latency);
                 self.settle(req.id, Verdict::Served { latency });
@@ -972,7 +984,8 @@ impl ServeEngine {
                     ("long_burn_x100", t.long_burn_x100.to_string()),
                 ],
             );
-            self.obs.gauge_set("slo", &format!("alert_{}", t.spec), t.to.as_gauge());
+            let alert = self.obs.gauge("slo", &format!("alert_{}", t.spec));
+            self.obs.gauge_set(alert, t.to.as_gauge());
         }
     }
 
@@ -1150,7 +1163,7 @@ impl ServeEngine {
             ("requeued", report.requeued),
             ("batches", report.batches),
         ] {
-            self.obs.counter_add("serve", name, v);
+            self.obs.counter_add(self.obs.counter("serve", name), v);
         }
         report
     }

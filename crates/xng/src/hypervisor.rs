@@ -31,7 +31,7 @@ use hermes_cpu::cluster::{Cluster, CORE_COUNT};
 use hermes_cpu::hart::{Event, TrapCause};
 use hermes_cpu::mpu::{reprogram_cost, MpuRegion, Privilege, GATE_CROSS_CYCLES};
 use hermes_kernel::{DomainId, DomainRegistry, Scheduler, WheelStats};
-use hermes_obs::{ClockDomain, Recorder, TraceCtx};
+use hermes_obs::{ClockDomain, Counter, Recorder, TraceCtx};
 
 /// Flight-recorder subsystem name used by the hypervisor.
 const OBS_SUB: &str = "xng";
@@ -99,6 +99,36 @@ impl XngDomains {
     }
 }
 
+/// Handles of the counters the hypervisor records, registered on the
+/// attached recorder ([`Hypervisor::set_obs`]).
+struct XngMetrics {
+    hm_events: Counter,
+    hm_escalations: Counter,
+    spare_failovers: Counter,
+    context_switches: Counter,
+    hypercalls: Counter,
+    mpu_reprogram_cycles: Counter,
+    gate_cross_cycles: Counter,
+    /// `isolation_traps_p<i>`, one per partition.
+    isolation_traps: Vec<Counter>,
+}
+
+impl XngMetrics {
+    fn register(obs: &Recorder, partitions: usize) -> Self {
+        let c = |name: &str| obs.counter(OBS_SUB, name);
+        XngMetrics {
+            hm_events: c("hm_events"),
+            hm_escalations: c("hm_escalations"),
+            spare_failovers: c("spare_failovers"),
+            context_switches: c("context_switches"),
+            hypercalls: c("hypercalls"),
+            mpu_reprogram_cycles: c("mpu_reprogram_cycles"),
+            gate_cross_cycles: c("gate_cross_cycles"),
+            isolation_traps: (0..partitions).map(|p| c(&format!("isolation_traps_p{p}"))).collect(),
+        }
+    }
+}
+
 /// Last posted due time per timer, so an unchanged deadline is not
 /// reposted every wake. A memoised time `t > now` is guaranteed to still
 /// be pending in the scheduler: pops only consume entries up to the
@@ -158,6 +188,7 @@ pub struct Hypervisor {
     key_installed: [bool; CORE_COUNT],
     /// Flight recorder (disabled by default; see [`Hypervisor::set_obs`]).
     obs: Recorder,
+    metrics: XngMetrics,
     /// Causal trace context attached to dispatch instants (see
     /// [`Hypervisor::set_trace_ctx`]).
     trace: TraceCtx,
@@ -195,6 +226,8 @@ impl Hypervisor {
         let watchdogs = vec![None; config.partitions.len()];
         let event_kernel = hermes_kernel::event_kernel_enabled();
         let memo = XngMemo::new(config.partitions.len());
+        let obs = Recorder::disabled();
+        let metrics = XngMetrics::register(&obs, config.partitions.len());
         Ok(Hypervisor {
             cluster: Cluster::new(),
             ports,
@@ -210,7 +243,8 @@ impl Hypervisor {
             spare_failovers: 0,
             isolation_stats: IsolationStats::default(),
             key_installed: [false; CORE_COUNT],
-            obs: Recorder::disabled(),
+            obs,
+            metrics,
             trace: TraceCtx::untraced(),
             event_kernel,
             sched: Scheduler::new(event_kernel),
@@ -252,6 +286,7 @@ impl Hypervisor {
     /// (context switch), hypercall, and health-monitor event is traced on
     /// the `Hv` clock domain (the ARINC-653-style schedule timeline).
     pub fn set_obs(&mut self, obs: Recorder) {
+        self.metrics = XngMetrics::register(&obs, self.config.partitions.len());
         self.obs = obs;
     }
 
@@ -280,7 +315,7 @@ impl Hypervisor {
         detail: String,
     ) -> HmAction {
         let action = self.hm.report(&self.config.hm_table, now, event, pid, detail);
-        self.obs.counter_add(OBS_SUB, "hm_events", 1);
+        self.obs.counter_add(self.metrics.hm_events, 1);
         self.obs.instant(
             OBS_SUB,
             "hm-event",
@@ -789,8 +824,7 @@ impl Hypervisor {
                             | TrapCause::DomainFault
                     ) {
                         self.partitions[pid.0 as usize].stats.isolation_traps += 1;
-                        self.obs
-                            .counter_add(OBS_SUB, &format!("isolation_traps_p{}", pid.0), 1);
+                        self.obs.counter_add(self.metrics.isolation_traps[pid.0 as usize], 1);
                     }
                     let action = self.report_hm(
                         self.time,
@@ -832,7 +866,7 @@ impl Hypervisor {
                 if self.partitions[pid.0 as usize].stats.restarts >= u64::from(limit) {
                     action = HmAction::HaltPartition;
                     self.hm_escalations += 1;
-                    self.obs.counter_add(OBS_SUB, "hm_escalations", 1);
+                    self.obs.counter_add(self.metrics.hm_escalations, 1);
                     self.obs.instant(
                         OBS_SUB,
                         "hm-escalation",
@@ -891,7 +925,7 @@ impl Hypervisor {
         if rewritten > 0 {
             self.spare_failovers += 1;
             self.partitions[spare.0 as usize].mode = PartitionMode::Cold;
-            self.obs.counter_add(OBS_SUB, "spare_failovers", 1);
+            self.obs.counter_add(self.metrics.spare_failovers, 1);
             self.obs.instant(
                 OBS_SUB,
                 "spare-failover",
@@ -960,7 +994,7 @@ impl Hypervisor {
         if self.partitions[pid.0 as usize].mode == PartitionMode::Halted {
             return Ok(());
         }
-        self.obs.counter_add(OBS_SUB, "context_switches", 1);
+        self.obs.counter_add(self.metrics.context_switches, 1);
         self.obs.trace_instant(
             OBS_SUB,
             "context-switch",
@@ -1017,13 +1051,9 @@ impl Hypervisor {
                     IsolationMode::MpuReprogram => {
                         hart.mpu.program(&regions);
                         self.isolation_stats.mpu_reprograms += 1;
-                        self.isolation_stats.mpu_reprogram_cycles +=
-                            reprogram_cost(regions.len());
-                        self.obs.counter_add(
-                            OBS_SUB,
-                            "mpu_reprogram_cycles",
-                            reprogram_cost(regions.len()),
-                        );
+                        let cost = reprogram_cost(regions.len());
+                        self.isolation_stats.mpu_reprogram_cycles += cost;
+                        self.obs.counter_add(self.metrics.mpu_reprogram_cycles, cost);
                     }
                     IsolationMode::ProtectionKeys => {
                         if !self.key_installed[core] {
@@ -1038,8 +1068,7 @@ impl Hypervisor {
                         hart.mpu.active_key = XngConfig::domain_key(pid);
                         self.isolation_stats.gate_crossings += 1;
                         self.isolation_stats.gate_cross_cycles += GATE_CROSS_CYCLES;
-                        self.obs
-                            .counter_add(OBS_SUB, "gate_cross_cycles", GATE_CROSS_CYCLES);
+                        self.obs.counter_add(self.metrics.gate_cross_cycles, GATE_CROSS_CYCLES);
                     }
                 }
                 hart.mpu.enabled = true;
@@ -1106,7 +1135,7 @@ impl Hypervisor {
         code: u16,
     ) -> Result<(), XngError> {
         self.partitions[pid.0 as usize].stats.hypercalls += 1;
-        self.obs.counter_add(OBS_SUB, "hypercalls", 1);
+        self.obs.counter_add(self.metrics.hypercalls, 1);
         self.obs.instant(
             OBS_SUB,
             "hypercall",
